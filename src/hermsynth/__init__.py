@@ -39,11 +39,9 @@ from .circuit import (
 from .diagonal import ZTermSet, anf_decompose, emit_diag_circuit, sign_to_bits, synthesize_sign_diagonal
 from .jacobi import (
     JacobiResult,
-    Ordering,
     RotationStep,
     apply_rotation,
     diagonalize,
-    ordering_parallel,
     ordering_row_major,
     rotation_params,
     snap_signs,
@@ -53,17 +51,14 @@ from .jacobi import (
 from .matrices import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    dagger,
     format_matrix,
     is_hermitian,
     is_unitary,
     load_matrix,
-    mat_mul,
     max_abs_diff,
     off_norm,
     parse_matrix,
     save_matrix,
-    tensor,
 )
 from .optimize import (
     OptLevel,
@@ -73,7 +68,6 @@ from .optimize import (
     strip_conjugate_controls,
 )
 from .twolevel import (
-    GrayPath,
     SynthesisReport,
     emit_two_level,
     gray_path,

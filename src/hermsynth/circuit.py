@@ -89,6 +89,8 @@ class Gate:
         if any(ctrls[i][0] >= ctrls[i + 1][0] for i in range(len(ctrls) - 1)):
             ctrls = tuple(sorted(ctrls))
             object.__setattr__(self, "controls", ctrls)
+        if ctrls and ctrls[0][0] < 0:  # sorted, so the first is the smallest
+            raise ValueError(f"negative control {ctrls[0][0]}")
         seen = set()
         for q, _ in ctrls:
             if q in seen:
@@ -101,9 +103,6 @@ class Gate:
                 raise ValueError(f"{self.kind.value} requires a finite angle")
         elif self.param is not None:
             raise ValueError(f"{self.kind.value} takes no angle")
-
-    def matrix(self) -> np.ndarray:
-        return gate_matrix(self.kind, self.param)
 
 
 @dataclass(frozen=True)

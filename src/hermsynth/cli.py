@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .baselines import (
@@ -33,10 +34,9 @@ from .errors import (
     SynthesisError,
     VerificationFailed,
 )
-from .jacobi import Ordering
 from .matrices import DEFAULT_TOLERANCES, format_matrix, load_matrix, max_abs_diff
 from .optimize import OptLevel, rewrite_cz_cnot
-from .twolevel import SynthesisReport, synthesize
+from .twolevel import SynthesisReport, synthesize, verify_circuit
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -53,7 +53,6 @@ exit codes:
   5  verification failure
 """
 
-_ORDERINGS = {"row-major": Ordering.ROW_MAJOR, "parallel": Ordering.PARALLEL}
 _OPT_LEVELS = {"none": OptLevel.NONE, "basic": OptLevel.BASIC, "full": OptLevel.FULL}
 _NAMED_GATES = {"H": GateKind.H, "X": GateKind.X, "Y": GateKind.Y, "Z": GateKind.Z}
 
@@ -65,7 +64,6 @@ def _counts_lines(hist: dict[str, int]) -> list[str]:
 def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
     lines = [
         f"qubits: {n}",
-        f"ordering: {report.ordering.value}",
         f"opt_level: {report.opt_level.value}",
         f"library: {library}",
         f"sweeps: {report.sweeps}",
@@ -81,24 +79,12 @@ def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
 def cmd_synth(args) -> int:
     matrix = load_matrix(args.matrix)
     circuit, report = synthesize(
-        matrix,
-        ordering=_ORDERINGS[args.ordering],
-        opt_level=_OPT_LEVELS[args.opt],
-        max_sweeps=args.max_sweeps,
+        matrix, opt_level=_OPT_LEVELS[args.opt], max_sweeps=args.max_sweeps
     )
     if args.lib == "cnot":
         circuit = rewrite_cz_cnot(circuit, "cnot")
-        error = max_abs_diff(simulate(circuit), matrix)
-        if error > DEFAULT_TOLERANCES.verify_tol:
-            raise VerificationFailed(error)
-        report = SynthesisReport(
-            gate_counts=counts(circuit),
-            sweeps=report.sweeps,
-            rotations_executed=report.rotations_executed,
-            residual_offnorm=report.residual_offnorm,
-            verify_error=error,
-            ordering=report.ordering,
-            opt_level=report.opt_level,
+        report = replace(
+            report, gate_counts=counts(circuit), verify_error=verify_circuit(circuit, matrix)
         )
     if args.out:
         save_circuit(args.out, circuit)
@@ -187,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="decompose a matrix file into a circuit")
     p.add_argument("matrix", help="path to a matrix text file")
-    p.add_argument("--ordering", choices=sorted(_ORDERINGS), default="row-major")
     p.add_argument("--opt", choices=["none", "basic", "full"], default="full")
     p.add_argument("--lib", choices=["cz", "cnot"], default="cz")
     p.add_argument("--max-sweeps", type=int, default=30)

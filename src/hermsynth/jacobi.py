@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,11 +33,6 @@ from .matrices import (
 )
 
 _HALF_PI = math.pi / 2.0
-
-
-class Ordering(Enum):
-    ROW_MAJOR = "row-major"
-    PARALLEL = "parallel"
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     colq = m[:, q].copy()
     m[:, p] = c * colp - (e * s) * colq
     m[:, q] = s * colp + (e * c) * colq
-    # rows of Q'^dagger: (c, -conj(e) s) and (s, conj(e) c)
+    # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
     ec = e.conjugate() if step.has_phase else 1.0
     rowp = m[p, :].copy()
     rowq = m[q, :].copy()
@@ -132,7 +126,7 @@ def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
 def apply_rotation(
     a, step: RotationStep, zero_tol: float = DEFAULT_TOLERANCES.zero_tol
 ) -> np.ndarray:
-    """Return Q'^dagger a Q' for the step's two-level rotation."""
+    """Return Q'^H a Q' (H: adjoint) for the step's two-level rotation."""
     m = as_matrix(a).copy()
     if step.q >= m.shape[0]:
         raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {m.shape[0]}")
@@ -174,35 +168,6 @@ def ordering_row_major(dim: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
-def ordering_parallel(dim: int) -> list[list[tuple[int, int]]]:
-    """Round-robin schedule: dim-1 rounds of dim/2 pairwise-disjoint pairs.
-
-    Rotations within one round touch disjoint index sets and could run
-    concurrently; rounds partition the full pair set.
-    """
-    if dim < 2 or dim & (dim - 1):
-        raise BadDimension(f"need a power-of-two dim >= 2, got {dim}")
-    m = dim - 1
-    rounds: list[list[tuple[int, int]]] = []
-    for r in range(m):
-        pairs = []
-        for i in range(m):
-            j = (r - i) % m
-            if i < j:
-                pairs.append((i, j))
-        k = next(k for k in range(m) if (2 * k) % m == r)
-        pairs.append((k, dim - 1))
-        rounds.append(sorted(pairs))
-    rounds.reverse()
-    return rounds
-
-
-def _pair_sequence(dim: int, ordering: Ordering) -> list[tuple[int, int]]:
-    if ordering is Ordering.PARALLEL:
-        return [pair for rnd in ordering_parallel(dim) for pair in rnd]
-    return ordering_row_major(dim)
-
-
 def snap_signs(
     diag_entries, sign_tol: float = DEFAULT_TOLERANCES.sign_tol
 ) -> tuple[int, ...]:
@@ -220,14 +185,11 @@ def snap_signs(
 
 
 def diagonalize(
-    h,
-    ordering: Ordering = Ordering.ROW_MAJOR,
-    tol: Tolerances | None = None,
-    max_sweeps: int = 30,
+    h, tol: Tolerances | None = None, max_sweeps: int = 30
 ) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
-    Sweeps repeat over the chosen pair ordering, skipping already-zero
+    Sweeps repeat over the row-major pair ordering, skipping already-zero
     entries, until off_norm <= zero_tol * dim. Cyclic Jacobi can refill
     previously zeroed entries, hence the multi-sweep loop; convergence is
     quadratic so a handful of sweeps suffices in practice.
@@ -242,7 +204,7 @@ def diagonalize(
     if not is_unitary(m, tol.unitary_tol):
         raise NotUnitary(f"input deviates from unitarity by more than {tol.unitary_tol}")
 
-    pairs = _pair_sequence(dim, ordering)
+    pairs = ordering_row_major(dim)
     work = m.copy()
     threshold = tol.zero_tol * dim
     steps: list[RotationStep] = []

@@ -44,27 +44,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; result dimension is the product of the inputs'."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def is_hermitian(a, tol: float = DEFAULT_TOLERANCES.hermitian_tol) -> bool:
     m = as_matrix(a)
     return float(np.max(np.abs(m - m.conj().T))) <= tol
@@ -138,9 +117,12 @@ def parse_matrix(text: str) -> np.ndarray:
             if len(pieces) != 2:
                 raise ParseError(lineno, f"bad entry {tok!r}, expected 're,im'")
             try:
-                row.append(complex(float(pieces[0]), float(pieces[1])))
+                re, im = float(pieces[0]), float(pieces[1])
             except ValueError:
                 raise ParseError(lineno, f"bad number in entry {tok!r}") from None
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ParseError(lineno, f"non-finite entry {tok!r}")
+            row.append(complex(re, im))
         rows.append(row)
         if len(rows) > dim:
             raise ParseError(lineno, f"more than {dim} rows")

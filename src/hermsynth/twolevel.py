@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
-from .jacobi import JacobiResult, Ordering, RotationStep, diagonalize
+from .jacobi import JacobiResult, RotationStep, diagonalize
 from .matrices import DEFAULT_TOLERANCES, Tolerances, as_matrix, max_abs_diff
 from .optimize import OptLevel, optimize
-
-
-@dataclass(frozen=True)
-class GrayPath:
-    """Basis states from p to q, consecutive entries differing in one bit."""
-
-    states: tuple[int, ...]
-    pivot_bit: int  # qubit index flipped by the final transition
 
 
 @dataclass(frozen=True)
@@ -33,7 +25,6 @@ class SynthesisReport:
     rotations_executed: int
     residual_offnorm: float
     verify_error: float
-    ordering: Ordering
     opt_level: OptLevel
 
 
@@ -67,9 +58,11 @@ def states_to_target_control(p: int, q: int, n: int) -> tuple[int, int] | None:
     return i, j
 
 
-def gray_path(p: int, q: int, n: int) -> GrayPath:
-    """Deterministic gray-code path: flip differing bits from the most
-    significant down, so the least significant differing bit is the pivot."""
+def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
+    """Basis states from p to q, consecutive entries differing in one bit.
+
+    Differing bits flip from the most significant down, so the final
+    transition flips the least significant differing bit (the pivot)."""
     if not (0 <= p < q < 1 << n):
         raise IndexOutOfRange(f"need 0 <= p < q < 2^{n}, got ({p}, {q})")
     diff = p ^ q
@@ -79,8 +72,7 @@ def gray_path(p: int, q: int, n: int) -> GrayPath:
         if (diff >> bpos) & 1:
             current ^= 1 << bpos
             states.append(current)
-    pivot_bit = n - 1 - ((diff & -diff).bit_length() - 1)
-    return GrayPath(tuple(states), pivot_bit)
+    return tuple(states)
 
 
 def _transposition(state: int, flipped_qubit: int, n: int) -> Gate:
@@ -102,14 +94,14 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     """
     if step.q >= 1 << n:
         raise IndexOutOfRange(f"step ({step.p}, {step.q}) outside {n} qubits")
-    path = gray_path(step.p, step.q, n)
+    states = gray_path(step.p, step.q, n)
     ladder = []
-    for k in range(len(path.states) - 2):
-        cur, nxt = path.states[k], path.states[k + 1]
+    for k in range(len(states) - 2):
+        cur, nxt = states[k], states[k + 1]
         flipped = n - 1 - ((cur ^ nxt).bit_length() - 1)
         ladder.append(_transposition(cur, flipped, n))
 
-    g_state, q_state = path.states[-2], path.states[-1]
+    g_state, q_state = states[-2], states[-1]
     a, b = min(g_state, q_state), max(g_state, q_state)
     pair = states_to_target_control(a, b, n)
     assert pair is not None
@@ -142,34 +134,38 @@ def _assemble(result: JacobiResult, n: int) -> Circuit:
     return Circuit(n, tuple(gates), global_phase=phase)
 
 
+def verify_circuit(circuit: Circuit, h, tol: Tolerances | None = None) -> float:
+    """Max entrywise deviation of the simulated circuit from ``h``.
+
+    Raises VerificationFailed if it exceeds verify_tol (which would indicate
+    a bug, not a property of the input).
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    error = max_abs_diff(simulate(circuit), h)
+    if error > tol.verify_tol:
+        raise VerificationFailed(error)
+    return error
+
+
 def synthesize(
     h,
-    ordering: Ordering = Ordering.ROW_MAJOR,
     tol: Tolerances | None = None,
     opt_level: OptLevel = OptLevel.FULL,
     max_sweeps: int = 30,
 ) -> tuple[Circuit, SynthesisReport]:
-    """Decompose a Hermitian unitary into a gate circuit and verify it.
-
-    Raises VerificationFailed if the simulated circuit deviates from the
-    input by more than verify_tol (which would indicate a bug, not a
-    property of the input).
-    """
+    """Decompose a Hermitian unitary into a gate circuit and verify it
+    with :func:`verify_circuit`."""
     tol = tol or DEFAULT_TOLERANCES
     m = as_matrix(h)
-    result = diagonalize(m, ordering, tol, max_sweeps)
+    result = diagonalize(m, tol, max_sweeps)
     n = m.shape[0].bit_length() - 1
     circuit = optimize(_assemble(result, n), opt_level)
-    error = max_abs_diff(simulate(circuit), m)
-    if error > tol.verify_tol:
-        raise VerificationFailed(error)
     report = SynthesisReport(
         gate_counts=counts(circuit),
         sweeps=result.sweeps,
         rotations_executed=len(result.steps),
         residual_offnorm=result.residual,
-        verify_error=error,
-        ordering=ordering,
+        verify_error=verify_circuit(circuit, m, tol),
         opt_level=opt_level,
     )
     return circuit, report

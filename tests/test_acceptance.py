@@ -31,7 +31,7 @@ from hermsynth.baselines import (
 )
 from hermsynth.circuit import GateKind, counts, simulate
 from hermsynth.diagonal import synthesize_sign_diagonal
-from hermsynth.jacobi import diagonalize, ordering_parallel, ordering_row_major, step_factors
+from hermsynth.jacobi import diagonalize, step_factors
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
     OptLevel,
@@ -197,22 +197,6 @@ def test_diagonal_synthesis_exhaustive():
     print(f"\nPASS diagonal synthesis: {total} exhaustive + 1000 random cases exact")
 
 
-def test_parallel_ordering_partitions():
-    """For n in {1..6}: 2^n - 1 rounds of 2^(n-1) disjoint pairs covering
-    every pair exactly once."""
-    for n in range(1, 7):
-        dim = 1 << n
-        rounds = ordering_parallel(dim)
-        assert len(rounds) == dim - 1
-        assert all(len(r) == dim // 2 for r in rounds)
-        for rnd in rounds:
-            flat = [i for pair in rnd for i in pair]
-            assert len(set(flat)) == len(flat)
-        all_pairs = sorted(p for r in rounds for p in r)
-        assert all_pairs == sorted(ordering_row_major(dim))
-    print("\nPASS independent rotation sets: rounds partition all pairs for n = 1..6")
-
-
 def test_rotation_count_bounds():
     """Per-sweep rotations and emitted controlled-RY gates stay within the
     worst-case bounds; controlled-gate embeddings need one sweep and at
@@ -223,6 +207,7 @@ def test_rotation_count_bounds():
         res = diagonalize(h)
         bound = (1 << (2 * n - 1)) - (1 << (n - 1))
         assert all(r <= bound for r in res.sweep_rotations)
+        assert sum(res.sweep_rotations) == len(res.steps)
         circuit, report = synthesize(h, opt_level=OptLevel.NONE)
         n_cry = sum(1 for g in circuit.gates if g.kind is GateKind.RY)
         assert n_cry <= ((1 << (2 * n)) - (1 << n)) * res.sweeps

@@ -250,6 +250,10 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse("qubits 2\nphase 1,0\ngate Z target=0 controls=+0 params=\n")
 
+    def test_negative_control_rejected(self):
+        with pytest.raises(ParseError):
+            parse("qubits 2\nphase 1,0\ngate X target=1 controls=+-1 params=\n")
+
     def test_angle_bit_exact(self):
         angle = math.pi / 7 + 1e-13
         c = Circuit(1, (Gate(GateKind.RZ, 0, (), angle),))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth.circuit import load_circuit, save_circuit, Circuit
+from hermsynth.circuit import Circuit, counts, load_circuit, save_circuit
 from hermsynth.cli import main
 from hermsynth.matrices import parse_matrix, save_matrix
 
@@ -53,6 +53,25 @@ class TestSynth:
         text = report.read_text()
         assert "count_CNOT: 1" in text
 
+    def test_cnot_report_describes_written_circuit(self, tmp_path):
+        h = random_hermitian_unitary(RNG, 8)
+        mpath = tmp_path / "m.txt"
+        save_matrix(mpath, h)
+        out = tmp_path / "c.circ"
+        report = tmp_path / "r.txt"
+        code = main(
+            ["synth", str(mpath), "--lib", "cnot", "--out", str(out), "--report", str(report)]
+        )
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in report.read_text().splitlines())
+        assert "ordering" not in lines
+        circuit = load_circuit(out)
+        assert int(lines["gates_total"]) == len(circuit.gates)
+        reported = {k[len("count_"):]: int(v) for k, v in lines.items() if k.startswith("count_")}
+        assert reported == counts(circuit)
+        assert "MCZ" not in reported and "CZ" not in reported
+        assert float(lines["verify_error"]) <= 1e-9
+
     def test_non_hermitian_exit(self, tmp_path):
         path = tmp_path / "bad.txt"
         save_matrix(path, np.array([[0, 1], [0, 0]], dtype=complex))
@@ -79,6 +98,12 @@ class TestSynth:
         path.write_text("not a matrix\n")
         assert main(["synth", str(path)]) == 2
 
+    @pytest.mark.parametrize("token", ["nan,0", "inf,0"])
+    def test_non_finite_matrix(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"dim 2\n1,0 0,0\n0,0 {token}\n")
+        assert main(["synth", str(path)]) == 2
+
 
 class TestVerify:
     def test_round_trip(self, ch_file, tmp_path, capsys):
@@ -102,6 +127,23 @@ class TestVerify:
         circ = tmp_path / "one.circ"
         save_circuit(circ, Circuit(1))
         assert main(["verify", ch_file, str(circ)]) == 2
+
+    def test_negative_control_is_parse_error(self, tmp_path):
+        mpath = tmp_path / "i.txt"
+        save_matrix(mpath, np.eye(4))
+        circ = tmp_path / "neg.circ"
+        circ.write_text("qubits 2\nphase 1,0\ngate X target=1 controls=+-1 params=\n")
+        assert main(["verify", str(mpath), str(circ)]) == 2
+
+    @pytest.mark.parametrize("token", ["nan,0", "inf,0"])
+    def test_non_finite_matrix(self, ch_file, tmp_path, token):
+        out = tmp_path / "c.circ"
+        assert main(["synth", ch_file, "--out", str(out)]) == 0
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            f"dim 4\n{token} 0,0 0,0 0,0\n0,0 1,0 0,0 0,0\n0,0 0,0 1,0 0,0\n0,0 0,0 0,0 1,0\n"
+        )
+        assert main(["verify", str(path), str(out)]) == 2
 
 
 class TestSimulateAndCounts:

@@ -23,11 +23,9 @@ from hermsynth.errors import (
 )
 from hermsynth.jacobi import (
     JacobiResult,
-    Ordering,
     RotationStep,
     apply_rotation,
     diagonalize,
-    ordering_parallel,
     ordering_row_major,
     rotation_params,
     snap_signs,
@@ -130,32 +128,6 @@ class TestOrderings:
     def test_row_major_dim8_count(self):
         assert len(ordering_row_major(8)) == 28
 
-    def test_parallel_dim4_rounds(self):
-        assert ordering_parallel(4) == [
-            [(0, 2), (1, 3)],
-            [(0, 1), (2, 3)],
-            [(0, 3), (1, 2)],
-        ]
-
-    def test_parallel_dim2(self):
-        assert ordering_parallel(2) == [[(0, 1)]]
-
-    def test_parallel_dim8_partition(self):
-        rounds = ordering_parallel(8)
-        assert len(rounds) == 7 and all(len(r) == 4 for r in rounds)
-        flat = sorted(p for r in rounds for p in r)
-        assert flat == sorted(ordering_row_major(8))
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
-    def test_parallel_rounds_disjoint(self, dim):
-        for rnd in ordering_parallel(dim):
-            indices = [i for pair in rnd for i in pair]
-            assert len(set(indices)) == len(indices)
-
-    def test_parallel_rejects_non_power_of_two(self):
-        with pytest.raises(BadDimension):
-            ordering_parallel(6)
-
 
 class TestSnapSigns:
     def test_within_tolerance(self):
@@ -209,17 +181,13 @@ class TestDiagonalize:
                 m = q @ m @ q.conj().T
             assert max_abs_diff(m, h) < 1e-9
 
-    def test_parallel_ordering_converges(self):
-        h = random_hermitian_unitary(RNG, 16)
-        res = diagonalize(h, ordering=Ordering.PARALLEL)
-        assert res.residual <= 1e-12 * 16
-        assert snap_signs(res.signs) == res.signs
-
     def test_sweep_rotation_bound(self):
         h = random_hermitian_unitary(RNG, 16)
         res = diagonalize(h)
         assert all(r <= 16 * 15 // 2 for r in res.sweep_rotations)
         assert sum(res.sweep_rotations) == len(res.steps)
+        assert res.residual <= 1e-12 * 16
+        assert snap_signs(res.signs) == res.signs
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):

@@ -7,69 +7,17 @@ from helpers import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, random_unitary
 from hermsynth.errors import DimensionMismatch, ParseError
 from hermsynth.matrices import (
     Tolerances,
-    dagger,
     format_matrix,
     is_hermitian,
     is_unitary,
     load_matrix,
-    mat_mul,
     max_abs_diff,
     off_norm,
     parse_matrix,
     save_matrix,
-    tensor,
 )
 
 RNG = np.random.default_rng(1234)
-
-
-class TestMatMul:
-    def test_pauli_involution(self):
-        assert np.allclose(mat_mul(PAULI_X, PAULI_X), np.eye(2))
-
-    def test_x_times_z(self):
-        expected = np.array([[0, -1], [1, 0]], dtype=complex)
-        assert np.array_equal(mat_mul(PAULI_X, PAULI_Z), expected)
-
-    def test_identity_case(self):
-        a = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
-        assert np.allclose(mat_mul(np.eye(5), a), a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mat_mul(np.eye(2), np.eye(3))
-
-    def test_associative_on_random_triples(self):
-        for _ in range(10):
-            a, b, c = (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)) for _ in range(3))
-            left = mat_mul(mat_mul(a, b), c)
-            right = mat_mul(a, mat_mul(b, c))
-            assert max_abs_diff(left, right) < 1e-12
-
-
-class TestDagger:
-    def test_pauli_y_hermitian(self):
-        assert np.array_equal(dagger(PAULI_Y), PAULI_Y)
-
-    def test_s_gate(self):
-        s = np.diag([1.0, 1j])
-        assert np.array_equal(dagger(s), np.diag([1.0, -1j]))
-
-    def test_involution(self):
-        a = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
-        assert np.array_equal(dagger(dagger(a)), a)
-
-
-class TestTensor:
-    def test_identity_with_z(self):
-        assert np.array_equal(tensor(np.eye(2), PAULI_Z), np.diag([1, -1, 1, -1]).astype(complex))
-
-    def test_z_with_identity(self):
-        assert np.array_equal(tensor(PAULI_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_xx_involution(self):
-        xx = tensor(PAULI_X, PAULI_X)
-        assert np.allclose(xx @ xx, np.eye(4))
 
 
 class TestPredicates:
@@ -168,3 +116,9 @@ class TestTextFormat:
     def test_too_few_rows(self):
         with pytest.raises(ParseError):
             parse_matrix("dim 2\n1,0 0,0\n")
+
+    @pytest.mark.parametrize("token", ["nan,0", "0,inf", "-inf,0"])
+    def test_non_finite_entry(self, token):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"dim 2\n1,0 0,0\n0,0 {token}\n")
+        assert exc.value.line == 3

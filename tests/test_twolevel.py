@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth.circuit import Circuit, GateKind, counts, simulate
-from hermsynth.errors import IndexOutOfRange
-from hermsynth.jacobi import Ordering, RotationStep, two_level_matrix
+from hermsynth.circuit import Circuit, GateKind, counts, serialize, simulate
+from hermsynth.errors import IndexOutOfRange, VerificationFailed
+from hermsynth.jacobi import RotationStep, two_level_matrix
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import OptLevel
 from hermsynth.twolevel import (
@@ -15,6 +15,7 @@ from hermsynth.twolevel import (
     states_to_target_control,
     synthesize,
     target_control_to_states,
+    verify_circuit,
 )
 
 RNG = np.random.default_rng(31415)
@@ -55,23 +56,20 @@ class TestStateIndexing:
 
 class TestGrayPath:
     def test_distance_two(self):
-        path = gray_path(0, 3, 2)
-        assert path.states == (0, 2, 3) and path.pivot_bit == 1
+        assert gray_path(0, 3, 2) == (0, 2, 3)
 
     def test_adjacent(self):
-        path = gray_path(0, 2, 2)
-        assert path.states == (0, 2) and path.pivot_bit == 0
+        assert gray_path(0, 2, 2) == (0, 2)
 
     def test_full_distance(self):
         for n in (2, 3, 4):
-            path = gray_path(0, (1 << n) - 1, n)
-            assert len(path.states) == n + 1
+            assert len(gray_path(0, (1 << n) - 1, n)) == n + 1
 
     def test_consecutive_states_adjacent(self):
         for n in (3, 4):
             for p in range(1 << n):
                 for q in range(p + 1, 1 << n):
-                    states = gray_path(p, q, n).states
+                    states = gray_path(p, q, n)
                     assert states[0] == p and states[-1] == q
                     for a, b in zip(states, states[1:]):
                         d = a ^ b
@@ -186,11 +184,13 @@ class TestSynthesize:
             assert report.verify_error <= 1e-9
             assert max_abs_diff(simulate(circuit), h) <= 1e-9
 
-    def test_parallel_ordering_round_trip(self):
-        h = random_hermitian_unitary(RNG, 8)
-        circuit, report = synthesize(h, ordering=Ordering.PARALLEL)
-        assert report.verify_error <= 1e-9
-        assert report.ordering is Ordering.PARALLEL
+    def test_deterministic_text(self):
+        # the same matrix always gives byte-identical circuit text
+        for n in (1, 2, 3, 4):
+            h = random_hermitian_unitary(RNG, 1 << n)
+            first, _ = synthesize(h)
+            second, _ = synthesize(h.copy())
+            assert serialize(first) == serialize(second)
 
     def test_controlled_ry_budget(self):
         # two controlled RY gates per executed rotation before optimization
@@ -220,3 +220,10 @@ class TestSynthesize:
         tight = Tolerances(verify_tol=1e-6)
         _, report = synthesize(h, tol=tight)
         assert report.verify_error <= 1e-6
+
+
+class TestVerifyCircuit:
+    def test_raises_above_tolerance(self):
+        with pytest.raises(VerificationFailed) as exc:
+            verify_circuit(Circuit(2), CH_EMBED)
+        assert exc.value.error > 0.5
