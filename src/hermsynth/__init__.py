@@ -71,9 +71,7 @@ from .twolevel import (
     SynthesisReport,
     emit_two_level,
     gray_path,
-    states_to_target_control,
     synthesize,
-    target_control_to_states,
 )
 
 __version__ = "0.1.0"

@@ -25,9 +25,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, gate_matrix
 from .errors import IsPlusMinusIdentity, NotHermitianUnitary
-from .matrices import DEFAULT_TOLERANCES, Tolerances, as_matrix, is_hermitian, is_unitary
+from .matrices import DEFAULT_TOLERANCES, HALF_PI, Tolerances, as_matrix, is_hermitian, is_unitary
 
-_HALF_PI = math.pi / 2.0
 _ANGLE_EPS = 1e-12
 
 
@@ -71,9 +70,9 @@ def h2_params(u, tol: Tolerances | None = None) -> H2Params:
 
 def _phase_gate(angle: float, target: int) -> Gate:
     """PHASE(angle) with the named S / SDG kinds for +/- pi/2."""
-    if abs(angle - _HALF_PI) <= _ANGLE_EPS:
+    if abs(angle - HALF_PI) <= _ANGLE_EPS:
         return Gate(GateKind.S, target)
-    if abs(angle + _HALF_PI) <= _ANGLE_EPS:
+    if abs(angle + HALF_PI) <= _ANGLE_EPS:
         return Gate(GateKind.SDG, target)
     return Gate(GateKind.PHASE, target, (), angle)
 
@@ -115,7 +114,7 @@ def barenco_cu(params: H2Params) -> Circuit:
     RZ(alpha) on the target. The identity is phase exact.
     """
     theta, alpha = params.theta, params.alpha
-    tilt = theta - _HALF_PI
+    tilt = theta - HALF_PI
     gates: list[Gate] = []
     if abs(alpha) > _ANGLE_EPS:
         gates.append(Gate(GateKind.RZ, 1, (), -alpha))

@@ -1,8 +1,8 @@
 """Controlled-gate circuit IR with exact matrix semantics.
 
 Bit convention: qubit 0 is the MOST significant bit of a basis-state index
-(the top wire). The opposite convention is common elsewhere, so every index
-computation in this package goes through the helpers here.
+(the top wire), so qubit q is bit n-1-q. The opposite convention is common
+elsewhere.
 
 Matrix semantics: the LAST gate in time is the LEFTMOST matrix factor, so
 ``simulate`` left-multiplies gate embeddings in list order.
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError
+from .matrices import format_float
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -118,7 +119,7 @@ class Circuit:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "global_phase", complex(self.global_phase))
-        if abs(abs(self.global_phase) - 1.0) > 1e-12:
+        if not abs(abs(self.global_phase) - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"global phase {self.global_phase} is not unit modulus")
         for g in self.gates:
             _check_indices(g, self.n_qubits)
@@ -136,7 +137,7 @@ def _check_indices(gate: Gate, n: int) -> None:
 
 
 @lru_cache(maxsize=65536)
-def _gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
+def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
     m = gate_matrix(kind, param)
     return complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
 
@@ -159,7 +160,7 @@ def _matched_pairs(n: int, target: int, controls) -> tuple[np.ndarray, np.ndarra
 
 def _apply_gate(m: np.ndarray, gate: Gate, n: int) -> None:
     """In-place left-multiplication of ``m`` by the gate's embedding."""
-    u00, u01, u10, u11 = _gate_entries(gate.kind, gate.param)
+    u00, u01, u10, u11 = gate_entries(gate.kind, gate.param)
     a, b = _matched_pairs(n, gate.target, gate.controls)
     ra = m[a]  # advanced indexing copies
     rb = m[b]
@@ -241,21 +242,18 @@ def counts(circuit: Circuit) -> dict[str, int]:
 # for fixed kinds. Angles use 17 significant digits and round-trip bit exactly.
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def serialize(circuit: Circuit) -> str:
+    phase = circuit.global_phase
     lines = [
         f"qubits {circuit.n_qubits}",
-        f"phase {_fmt(circuit.global_phase.real)},{_fmt(circuit.global_phase.imag)}",
+        f"phase {format_float(phase.real)},{format_float(phase.imag)}",
     ]
     for g in circuit.gates:
         parts = [f"gate {g.kind.value}", f"target={g.target}"]
         if g.controls:
             ctl = ",".join(f"{'+' if pos else '-'}{q}" for q, pos in g.controls)
             parts.append(f"controls={ctl}")
-        parts.append("params=" + ("" if g.param is None else _fmt(g.param)))
+        parts.append("params=" + ("" if g.param is None else format_float(g.param)))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

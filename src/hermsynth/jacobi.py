@@ -25,6 +25,7 @@ from .errors import (
 )
 from .matrices import (
     DEFAULT_TOLERANCES,
+    HALF_PI,
     Tolerances,
     as_matrix,
     is_hermitian,
@@ -32,7 +33,6 @@ from .matrices import (
     off_norm,
 )
 
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class RotationStep:
     def __post_init__(self):
         if not (0 <= self.p < self.q):
             raise ValueError(f"need 0 <= p < q, got ({self.p}, {self.q})")
-        if abs(self.theta) > _HALF_PI + 1e-12:
+        if abs(self.theta) > HALF_PI + 1e-12:
             raise ValueError(f"theta {self.theta} outside [-pi/2, pi/2]")
 
 
@@ -87,9 +87,9 @@ def rotation_params(
         alpha = math.atan2(apq.imag, apq.real)
         has_phase = True
     theta = math.atan2(numerator, app - aqq)
-    if theta < -_HALF_PI:
+    if theta < -HALF_PI:
         theta += math.pi
-    elif theta > _HALF_PI:
+    elif theta > HALF_PI:
         theta -= math.pi
     return theta, alpha, has_phase
 

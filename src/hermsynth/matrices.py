@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 
+HALF_PI = math.pi / 2.0
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -78,7 +80,7 @@ def max_abs_diff(a, b) -> float:
 # Writers emit 17 significant digits so values round-trip bit exactly.
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
@@ -86,7 +88,7 @@ def format_matrix(a) -> str:
     m = as_matrix(a)
     lines = [f"dim {m.shape[0]}"]
     for row in m:
-        lines.append(" ".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in row))
+        lines.append(" ".join(f"{format_float(z.real)},{format_float(z.imag)}" for z in row))
     return "\n".join(lines) + "\n"
 
 

@@ -8,9 +8,9 @@ tuples), which is sufficient for the shapes the synthesizer emits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from enum import Enum
+from itertools import groupby
 
 from .circuit import (
     Circuit,
@@ -18,10 +18,9 @@ from .circuit import (
     GateKind,
     PARAMETRIC_KINDS,
     SELF_INVERSE_KINDS,
-    _gate_entries,
+    gate_entries,
 )
-
-_HALF_PI = math.pi / 2.0
+from .matrices import HALF_PI
 
 _DIAGONAL_KINDS = frozenset(
     {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.PHASE, GateKind.RZ}
@@ -61,29 +60,26 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
 
     Handles RY(a)RY(-a), PHASE(a)PHASE(-a), RZ likewise, the self-inverse
     kinds X, Y, Z, H, the S/SDG pair, and sums adjacent same-kind rotation
-    angles. Runs to a fixpoint.
+    angles. Runs to a fixpoint in one forward scan: each gate combines with
+    the top of the already-reduced stack for as long as a rule applies.
     """
-    gates = list(circuit.gates)
-    i = 0
-    while i + 1 < len(gates):
-        outcome = _combine(gates[i], gates[i + 1])
-        if outcome is False:
-            i += 1
-            continue
-        if outcome is None:
-            del gates[i : i + 2]
+    out: list[Gate] = []
+    for g in circuit.gates:
+        while out and (outcome := _combine(out[-1], g)) is not False:
+            out.pop()
+            if outcome is None:
+                break
+            g = outcome
         else:
-            gates[i] = outcome
-            del gates[i + 1]
-        i = max(i - 1, 0)
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.global_phase)
+            out.append(g)
+    return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
 
 def _payload_product(gates) -> tuple[complex, complex, complex, complex]:
     """2x2 product of a time-ordered gate sequence on a shared target."""
     a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     for g in gates:
-        e, f, gg, h = _gate_entries(g.kind, g.param)
+        e, f, gg, h = gate_entries(g.kind, g.param)
         a, b, c, d = e * a + f * c, e * b + f * d, gg * a + h * c, gg * b + h * d
     return a, b, c, d
 
@@ -140,24 +136,12 @@ def _strip_run(run: list[Gate]) -> list[Gate] | None:
 
 
 def strip_conjugate_controls(circuit: Circuit) -> Circuit:
-    gates = list(circuit.gates)
+    """Remove redundant controls from conjugate pairs around controlled diagonals."""
     out: list[Gate] = []
-    idx = 0
-    while idx < len(gates):
-        if not gates[idx].controls:
-            out.append(gates[idx])
-            idx += 1
-            continue
-        site = (gates[idx].target, gates[idx].controls)
-        end = idx
-        while end < len(gates) and gates[end].controls and (
-            gates[end].target,
-            gates[end].controls,
-        ) == site:
-            end += 1
-        run = gates[idx:end]
-        out.extend(_strip_run(run) or run)
-        idx = end
+    for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
+        run = list(run)
+        stripped = _strip_run(run) if controls else None
+        out.extend(stripped or run)
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
 
@@ -175,13 +159,13 @@ def rewrite_cz_cnot(circuit: Circuit, target_lib: str) -> Circuit:
     out: list[Gate] = []
     for g in circuit.gates:
         if target_lib == "cnot" and g.kind is GateKind.Z and g.controls:
-            out.append(Gate(GateKind.RY, g.target, (), -_HALF_PI))
+            out.append(Gate(GateKind.RY, g.target, (), -HALF_PI))
             out.append(Gate(GateKind.X, g.target, g.controls))
-            out.append(Gate(GateKind.RY, g.target, (), _HALF_PI))
+            out.append(Gate(GateKind.RY, g.target, (), HALF_PI))
         elif target_lib == "cz" and g.kind is GateKind.X and g.controls:
-            out.append(Gate(GateKind.RY, g.target, (), _HALF_PI))
+            out.append(Gate(GateKind.RY, g.target, (), HALF_PI))
             out.append(Gate(GateKind.Z, g.target, g.controls))
-            out.append(Gate(GateKind.RY, g.target, (), -_HALF_PI))
+            out.append(Gate(GateKind.RY, g.target, (), -HALF_PI))
         else:
             out.append(g)
     return cancel_adjacent_inverses(

@@ -28,36 +28,6 @@ class SynthesisReport:
     opt_level: OptLevel
 
 
-def target_control_to_states(i: int, j: int, n: int) -> tuple[int, int]:
-    """Basis-state pair acted on by a gate with target i and control string j.
-
-    The pair is obtained by inserting a 0 (respectively 1) at bit position i
-    of j, counting from the most significant bit.
-    """
-    if not (0 <= i < n):
-        raise IndexOutOfRange(f"target {i} outside {n}-qubit register")
-    if not (0 <= j < 1 << (n - 1)):
-        raise IndexOutOfRange(f"control value {j} outside {n - 1} bits")
-    low_bits = n - 1 - i
-    high = j >> low_bits
-    low = j & ((1 << low_bits) - 1)
-    a = (high << (low_bits + 1)) | low
-    return a, a | (1 << low_bits)
-
-
-def states_to_target_control(p: int, q: int, n: int) -> tuple[int, int] | None:
-    """Inverse of the above; None unless p and q differ in exactly one bit."""
-    if not (0 <= p < q < 1 << n):
-        raise IndexOutOfRange(f"need 0 <= p < q < 2^{n}, got ({p}, {q})")
-    diff = p ^ q
-    if diff & (diff - 1):
-        return None
-    bpos = diff.bit_length() - 1
-    i = n - 1 - bpos
-    j = ((p >> (bpos + 1)) << bpos) | (p & ((1 << bpos) - 1))
-    return i, j
-
-
 def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
     """Basis states from p to q, consecutive entries differing in one bit.
 
@@ -75,63 +45,47 @@ def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(states)
 
 
-def _transposition(state: int, flipped_qubit: int, n: int) -> Gate:
-    """Multi-controlled X swapping ``state`` with its neighbor at one bit."""
-    controls = tuple(
-        (qb, bool((state >> (n - 1 - qb)) & 1)) for qb in range(n) if qb != flipped_qubit
-    )
-    return Gate(GateKind.X, flipped_qubit, controls)
+def _controls(state: int, target: int, n: int) -> tuple[tuple[int, bool], ...]:
+    """Every qubit but ``target``, controlled on its bit in ``state``."""
+    return tuple((qb, bool((state >> (n - 1 - qb)) & 1)) for qb in range(n) if qb != target)
 
 
 def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     """Time-ordered gates whose simulation is exactly the Q' embedding of the step.
 
     The ladder moves |p> to the path state g adjacent to |q>; the controlled
-    RY/PHASE pair acts on (g, q); the ladder unwinds. When q carries a 0 in
-    the pivot bit the controlled gate sees the pair in swapped order, which
-    negates theta and, for complex pivots, requires conjugating the phase
-    gate with the pivot transposition.
+    RY/PHASE pair acts on (g, q), which differ only at the pivot qubit i (the
+    last flip of the path); the ladder unwinds. When q carries a 0 at the
+    pivot the controlled gate sees the pair in swapped order, which negates
+    theta and, for complex pivots, requires conjugating the phase gate with
+    the pivot transposition.
     """
     if step.q >= 1 << n:
         raise IndexOutOfRange(f"step ({step.p}, {step.q}) outside {n} qubits")
     states = gray_path(step.p, step.q, n)
-    ladder = []
-    for k in range(len(states) - 2):
-        cur, nxt = states[k], states[k + 1]
-        flipped = n - 1 - ((cur ^ nxt).bit_length() - 1)
-        ladder.append(_transposition(cur, flipped, n))
-
-    g_state, q_state = states[-2], states[-1]
-    a, b = min(g_state, q_state), max(g_state, q_state)
-    pair = states_to_target_control(a, b, n)
-    assert pair is not None
-    i, _ = pair
-    controls = tuple((qb, bool((a >> (n - 1 - qb)) & 1)) for qb in range(n) if qb != i)
-
-    core: list[Gate] = []
-    if q_state == b:
-        core.append(Gate(GateKind.RY, i, controls, step.theta))
+    flips = [n - 1 - ((a ^ b).bit_length() - 1) for a, b in zip(states, states[1:])]
+    ladder = tuple(Gate(GateKind.X, qb, _controls(s, qb, n)) for s, qb in zip(states, flips[:-1]))
+    i = flips[-1]
+    controls = _controls(step.q, i, n)
+    if (step.q >> (n - 1 - i)) & 1:
+        core = (Gate(GateKind.RY, i, controls, step.theta),)
         if step.has_phase:
-            core.append(Gate(GateKind.PHASE, i, controls, -step.alpha))
+            core += (Gate(GateKind.PHASE, i, controls, -step.alpha),)
     else:
         # swapped orientation: the ladder parked |p> on the pivot-1 state
-        core.append(Gate(GateKind.RY, i, controls, -step.theta))
+        core = (Gate(GateKind.RY, i, controls, -step.theta),)
         if step.has_phase:
             flip = Gate(GateKind.X, i, controls)
-            core.extend([flip, Gate(GateKind.PHASE, i, controls, -step.alpha), flip])
-    return tuple(ladder) + tuple(core) + tuple(reversed(ladder))
+            core += (flip, Gate(GateKind.PHASE, i, controls, -step.alpha), flip)
+    return ladder + core + ladder[::-1]
 
 
 def _assemble(result: JacobiResult, n: int) -> Circuit:
-    """Inverse factors of each step, the sign diagonal, then forward factors."""
+    """W^dagger, the sign diagonal, then W: the forward factors of the steps
+    in reverse order, each step emitted once."""
     diag_gates, phase = synthesize_sign_diagonal(result.signs)
-    gates: list[Gate] = []
-    for step in result.steps:
-        gates.extend(invert_gates(emit_two_level(step, n)))
-    gates.extend(diag_gates)
-    for step in reversed(result.steps):
-        gates.extend(emit_two_level(step, n))
-    return Circuit(n, tuple(gates), global_phase=phase)
+    forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
+    return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)
 
 
 def verify_circuit(circuit: Circuit, h, tol: Tolerances | None = None) -> float:

@@ -82,6 +82,13 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Circuit(1, (), global_phase=2.0)
 
+    @pytest.mark.parametrize(
+        "phase", [complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0)]
+    )
+    def test_non_finite_phase(self, phase):
+        with pytest.raises(ValueError):
+            Circuit(1, (), global_phase=phase)
+
 
 class TestEmbed:
     def test_negative_control_targets_top_wire(self):
@@ -253,6 +260,11 @@ class TestSerialization:
     def test_negative_control_rejected(self):
         with pytest.raises(ParseError):
             parse("qubits 2\nphase 1,0\ngate X target=1 controls=+-1 params=\n")
+
+    @pytest.mark.parametrize("token", ["nan,0", "1,nan", "inf,0"])
+    def test_non_finite_phase_rejected(self, token):
+        with pytest.raises(ParseError):
+            parse(f"qubits 1\nphase {token}\ngate X target=0 params=\n")
 
     def test_angle_bit_exact(self):
         angle = math.pi / 7 + 1e-13

@@ -183,6 +183,15 @@ class TestSimulateAndCounts:
         printed = capsys.readouterr().out
         assert "CZ: 1" in printed and "single: 4" in printed
 
+    @pytest.mark.parametrize("command", ["simulate", "counts", "verify"])
+    def test_non_finite_phase_is_parse_error(self, tmp_path, command):
+        circ = tmp_path / "nan.circ"
+        circ.write_text("qubits 1\nphase nan,0\ngate X target=0 params=\n")
+        mpath = tmp_path / "x.txt"
+        save_matrix(mpath, np.array([[0, 1], [1, 0]]))
+        paths = [str(mpath), str(circ)] if command == "verify" else [str(circ)]
+        assert main([command, *paths]) == 2
+
     def test_empty_file_is_parse_error(self, tmp_path):
         path = tmp_path / "empty.circ"
         path.write_text("")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import CNOT_EMBED, CZ_EMBED, random_circuit
-from hermsynth.circuit import Circuit, Gate, GateKind, counts, simulate
+from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
     OptLevel,
@@ -64,6 +64,12 @@ class TestCancelAdjacentInverses:
             Gate(GateKind.RY, 0, (), -0.75),
         )
         c = cancel_adjacent_inverses(Circuit(1, gates))
+        assert c.gates == ()
+
+    def test_nested_inverse_palindrome(self):
+        # A B C C^dagger B^dagger A^dagger: each pair meets only once the inner one is gone
+        head = (Gate(GateKind.RY, 0, (), 0.3), Gate(GateKind.X, 1, ((0, True),)), cphase(0.7))
+        c = cancel_adjacent_inverses(Circuit(2, head + invert_gates(head)))
         assert c.gates == ()
 
     def test_matrix_preserved(self):

@@ -4,54 +4,20 @@ import numpy as np
 import pytest
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth.circuit import Circuit, GateKind, counts, serialize, simulate
-from hermsynth.errors import IndexOutOfRange, VerificationFailed
-from hermsynth.jacobi import RotationStep, two_level_matrix
+from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, serialize, simulate
+from hermsynth.diagonal import synthesize_sign_diagonal
+from hermsynth.errors import VerificationFailed
+from hermsynth.jacobi import RotationStep, diagonalize, two_level_matrix
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import OptLevel
 from hermsynth.twolevel import (
     emit_two_level,
     gray_path,
-    states_to_target_control,
     synthesize,
-    target_control_to_states,
     verify_circuit,
 )
 
 RNG = np.random.default_rng(31415)
-
-
-class TestStateIndexing:
-    @pytest.mark.parametrize(
-        "i,j,n,expected",
-        [(0, 0, 2, (0, 2)), (1, 1, 2, (2, 3)), (0, 1, 2, (1, 3))],
-    )
-    def test_insertion(self, i, j, n, expected):
-        assert target_control_to_states(i, j, n) == expected
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(IndexOutOfRange):
-            target_control_to_states(2, 0, 2)
-        with pytest.raises(IndexOutOfRange):
-            target_control_to_states(0, 2, 2)
-
-    @pytest.mark.parametrize(
-        "p,q,n,expected",
-        [(0, 2, 2, (0, 0)), (0, 3, 2, None), (5, 7, 3, (1, 3))],
-    )
-    def test_deletion(self, p, q, n, expected):
-        assert states_to_target_control(p, q, n) == expected
-
-    def test_round_trip_all_pairs(self):
-        n = 4
-        seen = set()
-        for p in range(1 << n):
-            for q in range(p + 1, 1 << n):
-                pair = states_to_target_control(p, q, n)
-                if pair is not None:
-                    assert target_control_to_states(*pair, n) == (p, q)
-                    seen.add(pair)
-        assert len(seen) == n * (1 << (n - 1))
 
 
 class TestGrayPath:
@@ -150,10 +116,44 @@ class TestEmitTwoLevel:
             for q in range(p + 1, 8):
                 step = RotationStep(p, q, 0.3, 0.0, False)
                 gates = emit_two_level(step, n)
-                if states_to_target_control(p, q, n) is not None:
+                if (p ^ q).bit_count() == 1:
                     adjacent += 1
                     assert all(g.kind is not GateKind.X for g in gates)
         assert adjacent == n * (1 << (n - 1))
+
+
+class TestEmitExactGates:
+    """Literal gate tuples at n = 3, pinned so that emission stays byte-identical."""
+
+    def test_adjacent_pair(self):
+        ctl = ((0, True), (2, True))
+        assert emit_two_level(RotationStep(5, 7, 0.5, -0.25, True), 3) == (
+            Gate(GateKind.RY, 1, ctl, 0.5),
+            Gate(GateKind.PHASE, 1, ctl, 0.25),
+        )
+
+    def test_hamming_three_ladder(self):
+        assert emit_two_level(RotationStep(0, 7, -0.75, 0.0, False), 3) == (
+            Gate(GateKind.X, 0, ((1, False), (2, False))),
+            Gate(GateKind.X, 1, ((0, True), (2, False))),
+            Gate(GateKind.RY, 2, ((0, True), (1, True)), -0.75),
+            Gate(GateKind.X, 1, ((0, True), (2, False))),
+            Gate(GateKind.X, 0, ((1, False), (2, False))),
+        )
+
+    def test_swapped_orientation_with_phase(self):
+        # the path 1 -> 3 -> 2 ends on the pivot-0 state
+        ladder = Gate(GateKind.X, 1, ((0, False), (2, True)))
+        ctl = ((0, False), (1, True))
+        flip = Gate(GateKind.X, 2, ctl)
+        assert emit_two_level(RotationStep(1, 2, 0.5, 1.25, True), 3) == (
+            ladder,
+            Gate(GateKind.RY, 2, ctl, -0.5),
+            flip,
+            Gate(GateKind.PHASE, 2, ctl, -1.25),
+            flip,
+            ladder,
+        )
 
 
 class TestSynthesize:
@@ -198,6 +198,16 @@ class TestSynthesize:
         circuit, report = synthesize(h, opt_level=OptLevel.NONE)
         n_ry = sum(1 for g in circuit.gates if g.kind is GateKind.RY)
         assert n_ry == 2 * report.rotations_executed
+
+    def test_unoptimized_is_mirrored_rotations_around_diagonal(self):
+        # W^dagger D W, with W the forward factors of the steps in reverse order
+        h = random_hermitian_unitary(RNG, 8)
+        result = diagonalize(h)
+        forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, 3))
+        diag_gates, phase = synthesize_sign_diagonal(result.signs)
+        circuit, _ = synthesize(h, opt_level=OptLevel.NONE)
+        assert circuit.gates == invert_gates(forward) + diag_gates + forward
+        assert circuit.global_phase == phase
 
     def test_minus_identity_global_phase(self):
         circuit, report = synthesize(-np.eye(4))
