@@ -5,7 +5,11 @@ Bit convention: qubit 0 is the MOST significant bit of a basis-state index
 elsewhere.
 
 Matrix semantics: the LAST gate in time is the LEFTMOST matrix factor, so
-``simulate`` left-multiplies gate embeddings in list order.
+``simulate`` left-multiplies gate embeddings in list order. It views the
+2^n x 2^n matrix as a (2,)*n + (2^n,) tensor whose axis q is qubit q (axis 0
+is the most significant row bit, the last axis the column), and applies each
+gate by basic slicing: every control axis is fixed to its polarity, and the
+target's 0 and 1 slices are updated together by the gate's 2x2 matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,48 +29,57 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 class GateKind(Enum):
-    RY = "RY"        # rotation about y, half-angle convention
-    PHASE = "PHASE"  # diag(1, e^{i a})
-    RZ = "RZ"        # diag(e^{-i t/2}, e^{i t/2})
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-    H = "H"
-    S = "S"
-    SDG = "SDG"
+    """Gate kinds with the algebra the optimizer and simulator use.
+
+    ``parametric`` kinds take an angle and invert by negating it; ``diagonal``
+    kinds are diagonal 2x2 matrices; ``entries`` is the fixed 2x2 matrix in
+    row-major order (None for parametric kinds); ``inverse`` is the kind of
+    the inverse gate (S and SDG swap, every other kind is its own).
+    """
+
+    def __new__(cls, value, parametric, diagonal, entries=None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.parametric = parametric
+        member.diagonal = diagonal
+        member.entries = entries
+        member.inverse = member
+        return member
+
+    RY = "RY", True, False  # rotation about y, half-angle convention
+    PHASE = "PHASE", True, True  # diag(1, e^{i a})
+    RZ = "RZ", True, True  # diag(e^{-i t/2}, e^{i t/2})
+    X = "X", False, False, (0j, 1 + 0j, 1 + 0j, 0j)
+    Y = "Y", False, False, (0j, -1j, 1j, 0j)
+    Z = "Z", False, True, (1 + 0j, 0j, 0j, -1 + 0j)
+    H = "H", False, False, (complex(_SQRT1_2),) * 3 + (complex(-_SQRT1_2),)
+    S = "S", False, True, (1 + 0j, 0j, 0j, 1j)
+    SDG = "SDG", False, True, (1 + 0j, 0j, 0j, -1j)
 
 
-PARAMETRIC_KINDS = frozenset({GateKind.RY, GateKind.PHASE, GateKind.RZ})
-SELF_INVERSE_KINDS = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.H})
+GateKind.S.inverse, GateKind.SDG.inverse = GateKind.SDG, GateKind.S
+
+
+def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of the gate's 2x2 matrix (``param`` is the angle
+    of a parametric kind and is not checked here)."""
+    if not kind.parametric:
+        return kind.entries
+    if kind is GateKind.RY:
+        c, s = math.cos(param / 2.0), math.sin(param / 2.0)
+        return complex(c), complex(s), complex(-s), complex(c)
+    if kind is GateKind.PHASE:
+        return 1 + 0j, 0j, 0j, cmath.exp(1j * param)
+    return cmath.exp(-0.5j * param), 0j, 0j, cmath.exp(0.5j * param)
 
 
 def gate_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
     """Exact 2x2 matrix of a gate kind (angle required for parametric kinds)."""
-    if kind in PARAMETRIC_KINDS:
-        if param is None:
-            raise ValueError(f"{kind.value} requires an angle")
-        if kind is GateKind.RY:
-            c, s = math.cos(param / 2.0), math.sin(param / 2.0)
-            return np.array([[c, s], [-s, c]], dtype=complex)
-        if kind is GateKind.PHASE:
-            return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * param)]], dtype=complex)
-        return np.array(
-            [[cmath.exp(-0.5j * param), 0.0], [0.0, cmath.exp(0.5j * param)]],
-            dtype=complex,
-        )
-    if param is not None:
+    if kind.parametric and param is None:
+        raise ValueError(f"{kind.value} requires an angle")
+    if not kind.parametric and param is not None:
         raise ValueError(f"{kind.value} takes no angle")
-    if kind is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind is GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if kind is GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if kind is GateKind.H:
-        return np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
-    if kind is GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    return np.array([[1, 0], [0, -1j]], dtype=complex)  # SDG
+    return np.array(gate_entries(kind, param), dtype=complex).reshape(2, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +111,7 @@ class Gate:
             seen.add(q)
         if self.target in seen:
             raise ValueError(f"target {self.target} also listed as control")
-        if self.kind in PARAMETRIC_KINDS:
+        if self.kind.parametric:
             if self.param is None or not math.isfinite(self.param):
                 raise ValueError(f"{self.kind.value} requires a finite angle")
         elif self.param is not None:
@@ -136,62 +148,46 @@ def _check_indices(gate: Gate, n: int) -> None:
             raise IndexOutOfRange(f"control {q} outside {n}-qubit register")
 
 
-@lru_cache(maxsize=65536)
-def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
-    m = gate_matrix(kind, param)
-    return complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])
-
-
-@lru_cache(maxsize=65536)
-def _matched_pairs(n: int, target: int, controls) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (target bit 0, target bit 1) whose control bits all match."""
-    ks = np.arange(1 << n)
-    tmask = 1 << (n - 1 - target)
-    sel = (ks & tmask) == 0
-    for q, positive in controls:
-        cmask = 1 << (n - 1 - q)
-        sel &= (ks & cmask) == (cmask if positive else 0)
-    a = ks[sel]
-    b = a | tmask
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return a, b
-
-
-def _apply_gate(m: np.ndarray, gate: Gate, n: int) -> None:
-    """In-place left-multiplication of ``m`` by the gate's embedding."""
+def _apply_gate(t: np.ndarray, gate: Gate) -> None:
+    """In-place left-multiplication by the gate's embedding of a matrix
+    viewed as a (2,)*n + (2^n,) tensor, qubit q on axis q."""
     u00, u01, u10, u11 = gate_entries(gate.kind, gate.param)
-    a, b = _matched_pairs(n, gate.target, gate.controls)
-    ra = m[a]  # advanced indexing copies
-    rb = m[b]
-    m[a] = u00 * ra + u01 * rb
-    m[b] = u10 * ra + u11 * rb
+    index = [slice(None)] * t.ndim
+    for q, positive in gate.controls:
+        index[q] = int(positive)  # an int, since numpy reads a bool as a mask
+    index[gate.target] = 0
+    a = t[tuple(index)]
+    index[gate.target] = 1
+    b = t[tuple(index)]
+    new_a = u00 * a + u01 * b
+    b[...] = u10 * a + u11 * b
+    a[...] = new_a
 
 
 def embed(gate: Gate, n: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of one controlled gate."""
     _check_indices(gate, n)
     m = np.eye(1 << n, dtype=complex)
-    _apply_gate(m, gate, n)
+    _apply_gate(m.reshape((2,) * n + (1 << n,)), gate)
     return m
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit, including its global phase."""
-    m = np.eye(1 << circuit.n_qubits, dtype=complex)
+    n = circuit.n_qubits
+    m = np.eye(1 << n, dtype=complex)
+    t = m.reshape((2,) * n + (1 << n,))  # a view: updating t updates m
     for gate in circuit.gates:
-        _apply_gate(m, gate, circuit.n_qubits)
+        _apply_gate(t, gate)
     return circuit.global_phase * m
 
 
 def invert_gate(gate: Gate) -> Gate:
-    if gate.kind in SELF_INVERSE_KINDS:
+    if gate.kind.parametric:
+        return replace(gate, param=-gate.param)
+    if gate.kind.inverse is gate.kind:
         return gate
-    if gate.kind is GateKind.S:
-        return replace(gate, kind=GateKind.SDG)
-    if gate.kind is GateKind.SDG:
-        return replace(gate, kind=GateKind.S)
-    return replace(gate, param=-gate.param)
+    return replace(gate, kind=gate.kind.inverse)
 
 
 def invert_gates(gates) -> tuple[Gate, ...]:
@@ -224,7 +220,7 @@ def counts(circuit: Circuit) -> dict[str, int]:
             key = "CNOT" if k == 1 else "MCX"
         elif g.kind is GateKind.RY:
             key = "MCRY"
-        elif g.kind in (GateKind.PHASE, GateKind.RZ, GateKind.S, GateKind.SDG):
+        elif g.kind.diagonal:
             key = "MCPHASE"
         else:
             key = "MC" + g.kind.value

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .baselines import (
@@ -21,22 +20,10 @@ from .baselines import (
     qsd_cu,
 )
 from .circuit import counts, gate_matrix, GateKind, load_circuit, save_circuit, serialize, simulate
-from .errors import (
-    BadDimension,
-    DimensionMismatch,
-    IndexOutOfRange,
-    IsPlusMinusIdentity,
-    NoConvergence,
-    NotHermitian,
-    NotHermitianUnitary,
-    NotUnitary,
-    ParseError,
-    SynthesisError,
-    VerificationFailed,
-)
+from .errors import NoConvergence, ParseError, SynthesisError, VerificationFailed
 from .matrices import DEFAULT_TOLERANCES, format_matrix, load_matrix, max_abs_diff
 from .optimize import OptLevel, rewrite_cz_cnot
-from .twolevel import SynthesisReport, synthesize, verify_circuit
+from .twolevel import SynthesisReport, build_circuit, verified_report
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -78,14 +65,11 @@ def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
 
 def cmd_synth(args) -> int:
     matrix = load_matrix(args.matrix)
-    circuit, report = synthesize(
-        matrix, opt_level=_OPT_LEVELS[args.opt], max_sweeps=args.max_sweeps
-    )
+    opt_level = _OPT_LEVELS[args.opt]
+    circuit, result = build_circuit(matrix, opt_level=opt_level, max_sweeps=args.max_sweeps)
     if args.lib == "cnot":
         circuit = rewrite_cz_cnot(circuit, "cnot")
-        report = replace(
-            report, gate_counts=counts(circuit), verify_error=verify_circuit(circuit, matrix)
-        )
+    report = verified_report(circuit, matrix, result, opt_level)
     if args.out:
         save_circuit(args.out, circuit)
     else:
@@ -217,17 +201,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
-    except (
-        NotHermitian,
-        NotUnitary,
-        BadDimension,
-        DimensionMismatch,
-        NotHermitianUnitary,
-        IsPlusMinusIdentity,
-        IndexOutOfRange,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PRECONDITION
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONVERGENCE

@@ -12,19 +12,8 @@ from dataclasses import replace
 from enum import Enum
 from itertools import groupby
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    PARAMETRIC_KINDS,
-    SELF_INVERSE_KINDS,
-    gate_entries,
-)
+from .circuit import Circuit, Gate, GateKind, gate_entries
 from .matrices import HALF_PI
-
-_DIAGONAL_KINDS = frozenset(
-    {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.PHASE, GateKind.RZ}
-)
 
 
 class OptLevel(Enum):
@@ -40,19 +29,12 @@ def _same_site(g1: Gate, g2: Gate) -> bool:
 def _combine(g1: Gate, g2: Gate):
     """Outcome of the adjacent pair (g1 then g2): None cancels, Gate merges,
     False means no rule applies."""
-    if not _same_site(g1, g2):
+    if g2.kind is not g1.kind.inverse or not _same_site(g1, g2):
         return False
-    k1, k2 = g1.kind, g2.kind
-    if k1 == k2 and k1 in SELF_INVERSE_KINDS:
+    if not g1.kind.parametric:
         return None
-    if {k1, k2} == {GateKind.S, GateKind.SDG}:
-        return None
-    if k1 == k2 and k1 in PARAMETRIC_KINDS:
-        total = g1.param + g2.param
-        if total == 0.0:
-            return None
-        return replace(g1, param=total)
-    return False
+    total = g1.param + g2.param
+    return None if total == 0.0 else replace(g1, param=total)
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
@@ -116,11 +98,11 @@ def _strip_run(run: list[Gate]) -> list[Gate] | None:
     """
     k = 0
     while k < len(run):
-        if run[k].kind not in _DIAGONAL_KINDS:
+        if not run[k].kind.diagonal:
             k += 1
             continue
         lo = k
-        while k < len(run) and run[k].kind in _DIAGONAL_KINDS:
+        while k < len(run) and run[k].kind.diagonal:
             k += 1
         hi = k  # run[lo:hi] is diagonal
         before, after = run[:lo], run[hi:]

@@ -14,7 +14,7 @@ from .circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
-from .matrices import DEFAULT_TOLERANCES, Tolerances, as_matrix, max_abs_diff
+from .matrices import DEFAULT_TOLERANCES, Tolerances, max_abs_diff
 from .optimize import OptLevel, optimize
 
 
@@ -101,25 +101,41 @@ def verify_circuit(circuit: Circuit, h, tol: Tolerances | None = None) -> float:
     return error
 
 
+def build_circuit(
+    h,
+    tol: Tolerances | None = None,
+    opt_level: OptLevel = OptLevel.FULL,
+    max_sweeps: int = 30,
+) -> tuple[Circuit, JacobiResult]:
+    """The first step of :func:`synthesize`: diagonalize ``h``, assemble the
+    circuit and optimize it. The circuit is not yet verified."""
+    result = diagonalize(h, tol, max_sweeps)
+    n = len(result.signs).bit_length() - 1
+    return optimize(_assemble(result, n), opt_level), result
+
+
+def verified_report(
+    circuit: Circuit, h, result: JacobiResult, opt_level: OptLevel, tol: Tolerances | None = None
+) -> SynthesisReport:
+    """The second step of :func:`synthesize`: verify ``circuit`` against
+    ``h`` with :func:`verify_circuit` and report on it."""
+    return SynthesisReport(
+        gate_counts=counts(circuit),
+        sweeps=result.sweeps,
+        rotations_executed=len(result.steps),
+        residual_offnorm=result.residual,
+        verify_error=verify_circuit(circuit, h, tol),
+        opt_level=opt_level,
+    )
+
+
 def synthesize(
     h,
     tol: Tolerances | None = None,
     opt_level: OptLevel = OptLevel.FULL,
     max_sweeps: int = 30,
 ) -> tuple[Circuit, SynthesisReport]:
-    """Decompose a Hermitian unitary into a gate circuit and verify it
-    with :func:`verify_circuit`."""
-    tol = tol or DEFAULT_TOLERANCES
-    m = as_matrix(h)
-    result = diagonalize(m, tol, max_sweeps)
-    n = m.shape[0].bit_length() - 1
-    circuit = optimize(_assemble(result, n), opt_level)
-    report = SynthesisReport(
-        gate_counts=counts(circuit),
-        sweeps=result.sweeps,
-        rotations_executed=len(result.steps),
-        residual_offnorm=result.residual,
-        verify_error=verify_circuit(circuit, m, tol),
-        opt_level=opt_level,
-    )
-    return circuit, report
+    """Decompose a Hermitian unitary into a gate circuit and verify it:
+    :func:`build_circuit`, then :func:`verified_report`."""
+    circuit, result = build_circuit(h, tol, opt_level, max_sweeps)
+    return circuit, verified_report(circuit, h, result, opt_level, tol)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from hermsynth.circuit import Circuit, Gate, GateKind, PARAMETRIC_KINDS
+from hermsynth.circuit import Circuit, Gate, GateKind
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -56,7 +56,7 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> Cir
         rng.shuffle(others)
         n_controls = int(rng.integers(len(others) + 1))
         controls = tuple((q, bool(rng.integers(2))) for q in others[:n_controls])
-        param = float(rng.uniform(-math.pi, math.pi)) if kind in PARAMETRIC_KINDS else None
+        param = float(rng.uniform(-math.pi, math.pi)) if kind.parametric else None
         gates.append(Gate(kind, target, controls, param))
     return Circuit(n_qubits, tuple(gates))
 

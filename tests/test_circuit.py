@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ class TestGateMatrix:
             gate_matrix(GateKind.RY)
         with pytest.raises(ValueError):
             gate_matrix(GateKind.X, 0.3)
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_kind_table_consistent(self, kind):
+        if kind.parametric:
+            with pytest.raises(ValueError):
+                gate_matrix(kind)
+            angle = float(np.random.default_rng(3).uniform(-math.pi, math.pi))
+            u, u_inv = gate_matrix(kind, angle), gate_matrix(kind, -angle)
+        else:
+            u, u_inv = gate_matrix(kind), gate_matrix(kind.inverse)
+        assert kind.inverse.inverse is kind
+        assert np.allclose(u_inv @ u, np.eye(2), rtol=0.0, atol=1e-15)
+        assert kind.diagonal == (u[0, 1] == 0 and u[1, 0] == 0)
 
 
 class TestGateValidation:
@@ -122,7 +136,27 @@ class TestEmbed:
         assert is_hermitian(m) and is_unitary(m)
 
 
+def kron_embedding(gate: Gate, n: int) -> np.ndarray:
+    """I + (x)_q A_q: a projector on each control, U - I on the target and
+    I on every other qubit, qubit 0 the leftmost Kronecker factor."""
+    factors = [np.eye(2)] * n
+    for q, positive in gate.controls:
+        factors[q] = np.diag([0.0, 1.0]) if positive else np.diag([1.0, 0.0])
+    factors[gate.target] = gate_matrix(gate.kind, gate.param) - np.eye(2)
+    return np.eye(1 << n) + reduce(np.kron, factors)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_kronecker_reference(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(4):
+            c = random_circuit(rng, n, 25)
+            expected = np.eye(1 << n)
+            for gate in c.gates:
+                expected = kron_embedding(gate, n) @ expected
+            assert max_abs_diff(simulate(c), expected) < 1e-12
+
     def test_empty_circuit(self):
         assert np.array_equal(simulate(Circuit(2)), np.eye(4))
 

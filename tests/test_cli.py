@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth.circuit import Circuit, counts, load_circuit, save_circuit
+from hermsynth import twolevel
+from hermsynth.circuit import Circuit, counts, load_circuit, save_circuit, serialize
 from hermsynth.cli import main
 from hermsynth.matrices import parse_matrix, save_matrix
 
@@ -71,6 +72,24 @@ class TestSynth:
         assert reported == counts(circuit)
         assert "MCZ" not in reported and "CZ" not in reported
         assert float(lines["verify_error"]) <= 1e-9
+
+    @pytest.mark.parametrize("lib", ["cz", "cnot"])
+    def test_one_simulation_per_synth(self, ch_file, tmp_path, monkeypatch, lib):
+        simulated = []
+        real_simulate = twolevel.simulate
+
+        def counting_simulate(circuit):
+            simulated.append(circuit)
+            return real_simulate(circuit)
+
+        monkeypatch.setattr(twolevel, "simulate", counting_simulate)
+        out = tmp_path / "c.circ"
+        code = main(
+            ["synth", ch_file, "--lib", lib, "--out", str(out), "--report", str(tmp_path / "r")]
+        )
+        assert code == 0
+        assert len(simulated) == 1
+        assert serialize(simulated[0]) == out.read_text()  # the written circuit is verified
 
     def test_non_hermitian_exit(self, tmp_path):
         path = tmp_path / "bad.txt"
