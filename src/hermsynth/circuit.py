@@ -5,11 +5,21 @@ Bit convention: qubit 0 is the MOST significant bit of a basis-state index
 elsewhere.
 
 Matrix semantics: the LAST gate in time is the LEFTMOST matrix factor, so
-``simulate`` left-multiplies gate embeddings in list order. It views the
-2^n x 2^n matrix as a (2,)*n + (2^n,) tensor whose axis q is qubit q (axis 0
-is the most significant row bit, the last axis the column), and applies each
-gate by basic slicing: every control axis is fixed to its polarity, and the
-target's 0 and 1 slices are updated together by the gate's 2x2 matrix.
+``simulate`` left-multiplies gate embeddings in list order.
+
+A gate with n-1 controls is a two-level unitary: it touches only row i (the
+control bits, target bit 0) and row j = i | target bit. ``simulate`` keeps a
+pending row permutation ``perm``, with row r of the running product stored at
+``m[perm[r]]``. An X swaps ``perm[i]`` and ``perm[j]`` and moves no data; a
+diagonal gate with u00 = 1 scales row j alone; any other gate updates the two
+rows by its 2x2 matrix. Every other gate first applies the permutation, then
+takes the general path: the 2^n x 2^n matrix is viewed as a (2,)*n + (2^n,)
+tensor whose axis q is qubit q (axis 0 is the most significant row bit, the
+last axis the column), every control axis is fixed to its polarity by basic
+slicing, and the target's 0 and 1 slices are updated together by the gate's
+2x2 matrix. Both paths do the same arithmetic on every entry they change,
+less terms that are exactly zero, so they agree bit for bit up to the sign
+of a zero.
 """
 
 from __future__ import annotations
@@ -133,8 +143,18 @@ class Circuit:
         object.__setattr__(self, "global_phase", complex(self.global_phase))
         if not abs(abs(self.global_phase) - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"global phase {self.global_phase} is not unit modulus")
-        for g in self.gates:
-            _check_indices(g, self.n_qubits)
+        # Controls are sorted, so a gate's highest qubit is its target or its
+        # last control; only a circuit with one out of range walks every gate.
+        highest = max(
+            (
+                g.controls[-1][0] if g.controls and g.controls[-1][0] > g.target else g.target
+                for g in self.gates
+            ),
+            default=0,
+        )
+        if highest >= self.n_qubits:
+            for g in self.gates:
+                _check_indices(g, self.n_qubits)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -175,10 +195,39 @@ def embed(gate: Gate, n: int) -> np.ndarray:
 def simulate(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit, including its global phase."""
     n = circuit.n_qubits
-    m = np.eye(1 << n, dtype=complex)
-    t = m.reshape((2,) * n + (1 << n,))  # a view: updating t updates m
+    dim, full = 1 << n, n - 1
+    m = np.eye(dim, dtype=complex)
+    perm = list(range(dim))  # row r of the running product is m[perm[r]]
+    moved = False
     for gate in circuit.gates:
-        _apply_gate(t, gate)
+        if len(gate.controls) != full:
+            if moved:
+                m = m[perm]
+                perm = list(range(dim))
+                moved = False
+            _apply_gate(m.reshape((2,) * n + (dim,)), gate)
+            continue
+        i = 0
+        for q, positive in gate.controls:
+            if positive:
+                i |= 1 << (full - q)
+        j = i | 1 << (full - gate.target)
+        kind = gate.kind
+        if kind is GateKind.X:
+            perm[i], perm[j] = perm[j], perm[i]
+            moved = True
+            continue
+        u00, u01, u10, u11 = gate_entries(kind, gate.param)
+        b = m[perm[j]]
+        if kind.diagonal and u00 == 1:
+            b[...] = u11 * b  # out of place: ``*=`` rounds differently
+            continue
+        a = m[perm[i]]
+        new_a = u00 * a + u01 * b
+        b[...] = u10 * a + u11 * b
+        a[...] = new_a
+    if moved:
+        m = m[perm]
     return circuit.global_phase * m
 
 

@@ -95,7 +95,9 @@ def format_matrix(a) -> str:
 def parse_matrix(text: str) -> np.ndarray:
     dim = None
     rows: list[list[complex]] = []
+    last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -131,7 +133,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if dim is None:
         raise ParseError(1, "empty matrix file")
     if len(rows) != dim:
-        raise ParseError(1, f"expected {dim} rows, got {len(rows)}")
+        raise ParseError(last_line, f"expected {dim} rows, got {len(rows)}")
     return as_matrix(np.array(rows, dtype=complex))
 
 

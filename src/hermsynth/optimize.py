@@ -122,7 +122,8 @@ def strip_conjugate_controls(circuit: Circuit) -> Circuit:
     out: list[Gate] = []
     for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
         run = list(run)
-        stripped = _strip_run(run) if controls else None
+        # a single gate has nothing on either side of its diagonal block
+        stripped = _strip_run(run) if controls and len(run) > 1 else None
         out.extend(stripped or run)
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
@@ -157,14 +158,20 @@ def rewrite_cz_cnot(circuit: Circuit, target_lib: str) -> Circuit:
 
 def optimize(circuit: Circuit, level: OptLevel = OptLevel.FULL) -> Circuit:
     """None: identity. Basic: cancellation/merge. Full: control stripping
-    plus cancellation, iterated to a fixpoint."""
+    plus cancellation, iterated to a fixpoint.
+
+    Cancellation's output has no adjacent pair left to combine, so once a
+    strip pass leaves a cancelled circuit unchanged, cancelling again would
+    too, and the loop stops there. The input is not known to be cancelled,
+    so the first round always runs both passes.
+    """
     if level is OptLevel.NONE:
         return circuit
     if level is OptLevel.BASIC:
         return cancel_adjacent_inverses(circuit)
-    current = circuit
-    while True:
-        step = cancel_adjacent_inverses(strip_conjugate_controls(current))
-        if step.gates == current.gates:
-            return step
-        current = step
+    current = cancel_adjacent_inverses(strip_conjugate_controls(circuit))
+    if current.gates == circuit.gates:
+        return current
+    while (stripped := strip_conjugate_controls(current)).gates != current.gates:
+        current = cancel_adjacent_inverses(stripped)
+    return current

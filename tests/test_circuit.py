@@ -1,5 +1,6 @@
+import cmath
 import math
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hermsynth.circuit import (
     Circuit,
     Gate,
     GateKind,
+    _apply_gate,
     counts,
     embed,
     gate_matrix,
@@ -71,6 +73,11 @@ class TestGateMatrix:
         assert kind.diagonal == (u[0, 1] == 0 and u[1, 0] == 0)
 
 
+@cache
+def valid_gates_n5() -> tuple[Gate, ...]:
+    return random_circuit(np.random.default_rng(7), 5, 10_000).gates
+
+
 class TestGateValidation:
     def test_target_in_controls(self):
         with pytest.raises(ValueError):
@@ -91,6 +98,19 @@ class TestGateValidation:
     def test_circuit_index_range(self):
         with pytest.raises(IndexOutOfRange):
             Circuit(1, (Gate(GateKind.X, 1),))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Gate(GateKind.X, 5, ((0, True), (2, False))), "target 5 outside 5-qubit register"),
+            (Gate(GateKind.RY, 1, ((0, False), (5, True)), 0.3), "control 5 outside 5-qubit register"),
+            (Gate(GateKind.Z, 6, ((7, True),)), "target 6 outside 5-qubit register"),
+        ],
+    )
+    def test_index_range_in_long_circuit(self, bad, message):
+        valid = valid_gates_n5()
+        with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+            Circuit(5, valid[:5000] + (bad,) + valid[5000:])
 
     def test_nonunit_phase(self):
         with pytest.raises(ValueError):
@@ -199,6 +219,112 @@ class TestSimulate:
     def test_inverse_conjugates_phase(self):
         c = Circuit(1, (), global_phase=1j)
         assert inverse(c).global_phase == -1j
+
+
+def tensor_reference(circuit: Circuit) -> np.ndarray:
+    """``_apply_gate`` for every gate on the (2,)*n + (2^n,) tensor view,
+    with no two-row path and no row permutation."""
+    n = circuit.n_qubits
+    m = np.eye(1 << n, dtype=complex)
+    for gate in circuit.gates:
+        _apply_gate(m.reshape((2,) * n + (1 << n,)), gate)
+    return circuit.global_phase * m
+
+
+def gate_on(n, kind, target, mask, polarity, angle):
+    """The gate controlled by every qubit other than the target whose bit is
+    set in ``mask``, firing on |1> where its bit in ``polarity`` is set."""
+    controls = tuple(
+        (q, bool(polarity >> q & 1)) for q in range(n) if q != target and mask >> q & 1
+    )
+    return Gate(kind, target, controls, angle if kind.parametric else None)
+
+
+def full_control_circuit(rng, n, n_gates, partial_share, end_on_x=False):
+    """Every kind once with n-1 controls of random polarity, plus ``n_gates``
+    random gates of which about ``partial_share`` have fewer controls, in
+    random order; optionally closed by a fully-controlled X."""
+    everyone = (1 << n) - 1
+    kinds = list(GateKind)
+    specs = [(kind, everyone) for kind in kinds]
+    for _ in range(n_gates):
+        kind = kinds[rng.integers(len(kinds))]
+        partial = n > 1 and rng.random() < partial_share
+        specs.append((kind, int(rng.integers(everyone)) if partial else everyone))
+    order = rng.permutation(len(specs))
+    gates = []
+    for k in order:
+        kind, mask = specs[k]
+        target = int(rng.integers(n))
+        if mask != everyone:
+            # clear one control bit, so the gate has fewer than n-1 controls
+            mask &= ~(1 << int(rng.choice([q for q in range(n) if q != target])))
+        polarity = int(rng.integers(everyone + 1))
+        gates.append(gate_on(n, kind, target, mask, polarity, rng.uniform(-math.pi, math.pi)))
+    if end_on_x:
+        gates.append(gate_on(n, GateKind.X, int(rng.integers(n)), everyone,
+                             int(rng.integers(everyone + 1)), None))
+    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    return Circuit(n, tuple(gates), global_phase=phase)
+
+
+@st.composite
+def two_row_circuits(draw):
+    n = draw(st.integers(1, 6))
+    everyone = (1 << n) - 1
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        target = draw(st.integers(0, n - 1))
+        full = draw(st.booleans()) or draw(st.booleans())  # three in four fully controlled
+        mask = everyone if full else draw(st.integers(0, everyone))
+        polarity = draw(st.integers(0, everyone))
+        angle = draw(st.floats(-math.pi, math.pi))
+        gates.append(gate_on(n, kind, target, mask, polarity, angle))
+    return Circuit(n, tuple(gates))
+
+
+class TestTwoRowSimulate:
+    """Gates with n-1 controls act on two rows of the running product and X
+    only moves a pending row permutation; the result must equal the per-gate
+    tensor slicing entry for entry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("partial_share", [0.0, 0.3])
+    def test_matches_per_gate_reference(self, n, partial_share):
+        rng = np.random.default_rng(2000 + 10 * n + int(10 * partial_share))
+        for end_on_x in (False, True):
+            c = full_control_circuit(rng, n, 40, partial_share, end_on_x)
+            assert np.array_equal(simulate(c), tensor_reference(c))
+            expected = np.eye(1 << n)
+            for gate in c.gates:
+                expected = kron_embedding(gate, n) @ expected
+            assert max_abs_diff(simulate(c), c.global_phase * expected) < 1e-12
+
+    def test_every_kind_fully_controlled(self):
+        c = full_control_circuit(np.random.default_rng(5), 4, 0, 0.0)
+        assert {g.kind for g in c.gates} == set(GateKind)
+        assert all(len(g.controls) == 3 for g in c.gates)
+
+    def test_permutation_applied_before_fewer_controls(self):
+        # the swap of rows 110 and 111 is pending when the H arrives
+        swap = Gate(GateKind.X, 2, ((0, True), (1, True)))
+        h = Gate(GateKind.H, 0)
+        c = Circuit(3, (swap, h, swap))
+        assert np.array_equal(simulate(c), tensor_reference(c))
+        assert np.array_equal(simulate(c), embed(swap, 3) @ embed(h, 3) @ embed(swap, 3))
+
+    def test_ends_on_x(self):
+        # rows 01 and 11 of the diagonal product trade places at the end
+        c = Circuit(2, (Gate(GateKind.S, 1, ((0, True),)), Gate(GateKind.X, 0, ((1, True),))))
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0], expected[1, 3], expected[2, 2], expected[3, 1] = 1, 1j, 1, 1
+        assert np.array_equal(simulate(c), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_row_circuits())
+    def test_property_matches_per_gate_reference(self, c):
+        assert np.array_equal(simulate(c), tensor_reference(c))
 
 
 class TestCounts:

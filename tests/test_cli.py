@@ -117,6 +117,12 @@ class TestSynth:
         path.write_text("not a matrix\n")
         assert main(["synth", str(path)]) == 2
 
+    def test_truncated_matrix(self, tmp_path, capsys):
+        path = tmp_path / "short.txt"
+        path.write_text("# c\ndim 2\n1,0 0,0\n")
+        assert main(["synth", str(path)]) == 2
+        assert "line 3: expected 2 rows, got 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["nan,0", "inf,0"])
     def test_non_finite_matrix(self, tmp_path, token):
         path = tmp_path / "bad.txt"

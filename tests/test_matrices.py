@@ -117,6 +117,16 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_matrix("dim 2\n1,0 0,0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("# c\ndim 2\n1,0 0,0\n", 3), ("dim 2\n1,0 0,0\n\n# end\n", 4)],
+    )
+    def test_too_few_rows_names_last_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: expected 2 rows, got 1"
+
     @pytest.mark.parametrize("token", ["nan,0", "0,inf", "-inf,0"])
     def test_non_finite_entry(self, token):
         with pytest.raises(ParseError) as exc:

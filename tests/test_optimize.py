@@ -1,10 +1,13 @@
+import importlib
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 
-from helpers import CNOT_EMBED, CZ_EMBED, random_circuit
+from helpers import CNOT_EMBED, CZ_EMBED, random_circuit, random_hermitian_unitary
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
+from hermsynth.jacobi import diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
     OptLevel,
@@ -13,6 +16,9 @@ from hermsynth.optimize import (
     rewrite_cz_cnot,
     strip_conjugate_controls,
 )
+from hermsynth.twolevel import _assemble
+
+OPTIMIZE_MODULE = importlib.import_module("hermsynth.optimize")
 
 RNG = np.random.default_rng(4242)
 
@@ -201,3 +207,60 @@ class TestOptimize:
         c = Circuit(2, (CZ, CZ), global_phase=-1j)
         out = optimize(c, OptLevel.FULL)
         assert out.global_phase == -1j
+
+
+def full_rounds_reference(circuit: Circuit) -> tuple[Circuit, int]:
+    """Strip then cancel, repeated until a whole round returns its input;
+    also the number of rounds."""
+    current, rounds = circuit, 0
+    while True:
+        rounds += 1
+        step = cancel_adjacent_inverses(strip_conjugate_controls(current))
+        if step.gates == current.gates:
+            return step, rounds
+        current = step
+
+
+def record_passes(monkeypatch) -> list[str]:
+    """Wrap both passes where ``optimize`` looks them up; the returned list
+    collects "strip" and "cancel" in call order."""
+    calls: list[str] = []
+    for name, fn in (("strip", strip_conjugate_controls), ("cancel", cancel_adjacent_inverses)):
+        monkeypatch.setattr(
+            OPTIMIZE_MODULE, fn.__name__, lambda c, name=name, fn=fn: calls.append(name) or fn(c)
+        )
+    return calls
+
+
+@cache
+def assembled(n: int, seed: int) -> Circuit:
+    h = random_hermitian_unitary(np.random.default_rng(seed), 1 << n)
+    return _assemble(diagonalize(h), n)
+
+
+class TestFullLoop:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_gates_as_full_rounds(self, n):
+        for seed in range(3 if n < 5 else 1):
+            c = assembled(n, 100 * n + seed)
+            expected, _ = full_rounds_reference(c)
+            out = optimize(c, OptLevel.FULL)
+            assert out.gates == expected.gates
+            assert out.global_phase == expected.global_phase
+
+    @pytest.mark.parametrize("n", [3, 4, 5])  # at n = 2 one round changes nothing
+    def test_skips_the_last_cancel_pass(self, n, monkeypatch):
+        c = assembled(n, 100 * n)
+        _, rounds = full_rounds_reference(c)
+        assert rounds >= 2
+        calls = record_passes(monkeypatch)
+        optimize(c, OptLevel.FULL)
+        assert calls == ["strip", "cancel"] * (rounds - 1) + ["strip"]
+
+    @pytest.mark.parametrize(
+        "c", [Circuit(2, (Gate(GateKind.RY, 1, (), 0.3), CZ)), assembled(2, 200)]
+    )
+    def test_one_round_when_nothing_changes(self, c, monkeypatch):
+        calls = record_passes(monkeypatch)
+        assert optimize(c, OptLevel.FULL).gates == full_rounds_reference(c)[0].gates == c.gates
+        assert calls == ["strip", "cancel"]
