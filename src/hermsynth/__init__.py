@@ -40,13 +40,9 @@ from .diagonal import ZTermSet, anf_decompose, emit_diag_circuit, sign_to_bits, 
 from .jacobi import (
     JacobiResult,
     RotationStep,
-    apply_rotation,
     diagonalize,
-    ordering_row_major,
     rotation_params,
     snap_signs,
-    step_factors,
-    two_level_matrix,
 )
 from .matrices import (
     DEFAULT_TOLERANCES,

@@ -131,7 +131,7 @@ def parse_matrix(text: str) -> np.ndarray:
         if len(rows) > dim:
             raise ParseError(lineno, f"more than {dim} rows")
     if dim is None:
-        raise ParseError(1, "empty matrix file")
+        raise ParseError(last_line, "empty matrix file")
     if len(rows) != dim:
         raise ParseError(last_line, f"expected {dim} rows, got {len(rows)}")
     return as_matrix(np.array(rows, dtype=complex))

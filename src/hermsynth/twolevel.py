@@ -23,6 +23,7 @@ class SynthesisReport:
     gate_counts: dict[str, int]
     sweeps: int
     rotations_executed: int
+    sweep_rotations: tuple[int, ...]  # rotations in each sweep, first to last
     residual_offnorm: float
     verify_error: float
     opt_level: OptLevel
@@ -123,6 +124,7 @@ def verified_report(
         gate_counts=counts(circuit),
         sweeps=result.sweeps,
         rotations_executed=len(result.steps),
+        sweep_rotations=result.sweep_rotations,
         residual_offnorm=result.residual,
         verify_error=verify_circuit(circuit, h, tol),
         opt_level=opt_level,

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from hermsynth.circuit import Circuit, Gate, GateKind
+from hermsynth.circuit import Circuit, Gate, GateKind, gate_entries
+from hermsynth.errors import BadDimension, NoConvergence
+from hermsynth.jacobi import (
+    JacobiResult,
+    RotationStep,
+    _rotate_inplace,
+    rotation_params,
+    snap_signs,
+)
+from hermsynth.matrices import DEFAULT_TOLERANCES, Tolerances, as_matrix, off_norm
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -72,3 +82,132 @@ def charpoly_coeffs(m: np.ndarray) -> np.ndarray:
         work = m @ (work + coeffs[k - 1] * np.eye(n))
         coeffs[k] = -np.trace(work) / k
     return coeffs
+
+
+def phased_involution(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A permutation involution of 3N/8 disjoint transpositions carrying
+    unit-modulus phases, with +/-1 on every fixed point."""
+    dim = 1 << n
+    h = np.zeros((dim, dim), dtype=complex)
+    perm = rng.permutation(dim)
+    pairs = 3 * dim // 8
+    for t in range(pairs):
+        i, j = perm[2 * t], perm[2 * t + 1]
+        h[j, i] = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        h[i, j] = h[j, i].conjugate()
+    for i in perm[2 * pairs :]:
+        h[i, i] = rng.choice([-1.0, 1.0])
+    return h
+
+
+def block_direct_sum(rng: np.random.Generator, n: int, block: int = 4) -> np.ndarray:
+    """Direct sum of random block x block Hermitian unitaries on the diagonal."""
+    dim = 1 << n
+    h = np.zeros((dim, dim), dtype=complex)
+    for b in range(0, dim, block):
+        h[b : b + block, b : b + block] = random_hermitian_unitary(rng, block)
+    return h
+
+
+# --- dense references for the Jacobi rotations ------------------------------
+
+
+def ordering_row_major(dim: int) -> list[tuple[int, int]]:
+    """All index pairs p < q in lexicographic order."""
+    if dim < 2:
+        raise BadDimension(f"need dim >= 2, got {dim}")
+    return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+
+
+def diagonalize_row_major(
+    h, tol: Tolerances = DEFAULT_TOLERANCES, max_sweeps: int = 30
+) -> JacobiResult:
+    """``jacobi.diagonalize`` as a scalar walk: every sweep tests each pair
+    of ``ordering_row_major`` in turn and rotates it when its entry exceeds
+    zero_tol. Inputs are not validated."""
+    work = as_matrix(h).copy()
+    dim = work.shape[0]
+    threshold = tol.zero_tol * dim
+    steps: list[RotationStep] = []
+    per_sweep: list[int] = []
+    residual = off_norm(work)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        executed = 0
+        for p, q in ordering_row_major(dim):
+            if abs(work[p, q]) <= tol.zero_tol:
+                continue
+            theta, alpha, has_phase = rotation_params(
+                work[p, p].real, work[q, q].real, complex(work[p, q]), tol.zero_tol
+            )
+            step = RotationStep(p, q, theta, alpha, has_phase)
+            _rotate_inplace(work, step, tol.zero_tol)
+            steps.append(step)
+            executed += 1
+        per_sweep.append(executed)
+        residual = off_norm(work)
+        if residual <= threshold:
+            break
+    if residual > threshold:
+        raise NoConvergence(residual, sweeps)
+    signs = snap_signs(np.diagonal(work), tol.sign_tol)
+    return JacobiResult(tuple(steps), signs, sweeps, residual, tuple(per_sweep))
+
+
+def apply_rotation(
+    a, step: RotationStep, zero_tol: float = DEFAULT_TOLERANCES.zero_tol
+) -> np.ndarray:
+    """Return Q'^H a Q' (H: adjoint) for the step's two-level rotation."""
+    m = as_matrix(a).copy()
+    if step.q >= m.shape[0]:
+        raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {m.shape[0]}")
+    _rotate_inplace(m, step, zero_tol)
+    return m
+
+
+def step_factors(step: RotationStep, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense phase factor R(-alpha) and rotation factor G(theta) for one step.
+
+    The product R @ G is the two-level Q' embedding; R is the identity when
+    no phase is needed.
+    """
+    if step.q >= dim:
+        raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {dim}")
+    r = np.eye(dim, dtype=complex)
+    if step.has_phase:
+        r[step.q, step.q] = cmath.exp(-1j * step.alpha)
+    g = np.eye(dim, dtype=complex)
+    c = math.cos(step.theta / 2.0)
+    s = math.sin(step.theta / 2.0)
+    g[step.p, step.p] = c
+    g[step.p, step.q] = s
+    g[step.q, step.p] = -s
+    g[step.q, step.q] = c
+    return r, g
+
+
+def two_level_matrix(step: RotationStep, dim: int) -> np.ndarray:
+    """Dense embedding of Q' = R(-alpha) G(theta) at (p, q)."""
+    r, g = step_factors(step, dim)
+    return r @ g
+
+
+# --- reference for the simulator ---------------------------------------------
+
+
+def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
+    """Left-multiply a (2,)*n + (2^n,) tensor view by the gate's embedding,
+    updating the target's 0 and 1 slices by the full 2x2 matrix for every
+    kind, diagonal or not."""
+    u00, u01, u10, u11 = gate_entries(gate.kind, gate.param)
+    index = [slice(None)] * t.ndim
+    for q, positive in gate.controls:
+        index[q] = int(positive)
+    index[gate.target] = 0
+    a = t[tuple(index)]
+    index[gate.target] = 1
+    b = t[tuple(index)]
+    new_a = u00 * a + u01 * b
+    b[...] = u10 * a + u11 * b
+    a[...] = new_a

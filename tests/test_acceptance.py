@@ -19,6 +19,7 @@ from helpers import (
     controlled_4x4,
     random_circuit,
     random_hermitian_unitary,
+    step_factors,
 )
 from hermsynth.baselines import (
     TABULATED_MCU_COUNTS,
@@ -31,7 +32,7 @@ from hermsynth.baselines import (
 )
 from hermsynth.circuit import GateKind, counts, simulate
 from hermsynth.diagonal import synthesize_sign_diagonal
-from hermsynth.jacobi import diagonalize, step_factors
+from hermsynth.jacobi import diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
     OptLevel,

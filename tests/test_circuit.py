@@ -13,6 +13,7 @@ from helpers import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
+    apply_gate_full,
     random_circuit,
 )
 from hermsynth.circuit import (
@@ -325,6 +326,45 @@ class TestTwoRowSimulate:
     @given(two_row_circuits())
     def test_property_matches_per_gate_reference(self, c):
         assert np.array_equal(simulate(c), tensor_reference(c))
+
+
+def full_update_reference(circuit: Circuit) -> np.ndarray:
+    """Every gate applied by the full 2x2 update on the tensor view."""
+    n = circuit.n_qubits
+    m = np.eye(1 << n, dtype=complex)
+    for gate in circuit.gates:
+        apply_gate_full(m.reshape((2,) * n + (1 << n,)), gate)
+    return circuit.global_phase * m
+
+
+class TestDiagonalHalfSlice:
+    """Z, S, SDG and PHASE with fewer than n-1 controls scale the target's 1
+    slice alone, and RZ (u00 != 1) keeps the full update; every entry must
+    equal the full 2x2 update's."""
+
+    KINDS = (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.PHASE, GateKind.RZ)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_full_update(self, n):
+        rng = np.random.default_rng(3000 + n)
+        gates = []
+        for _ in range(6):
+            # an H first in each round, so that no slice stays zero
+            for kind in (GateKind.H, *self.KINDS):
+                target = int(rng.integers(n))
+                others = [q for q in range(n) if q != target]
+                rng.shuffle(others)
+                k = int(rng.integers(max(n - 1, 1)))  # 0..n-2 controls (0 at n = 1)
+                controls = tuple((q, bool(rng.integers(2))) for q in others[:k])
+                angle = rng.uniform(-math.pi, math.pi) if kind.parametric else None
+                gates.append(Gate(kind, target, controls, angle))
+        c = Circuit(n, tuple(gates), global_phase=cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        assert np.array_equal(simulate(c), full_update_reference(c))
+        expected = np.eye(1 << n)
+        for gate in c.gates:
+            expected = kron_embedding(gate, n) @ expected
+            assert np.array_equal(embed(gate, n), full_update_reference(Circuit(n, (gate,))))
+        assert max_abs_diff(simulate(c), c.global_phase * expected) < 1e-12
 
 
 class TestCounts:

@@ -73,6 +73,15 @@ class TestSynth:
         assert "MCZ" not in reported and "CZ" not in reported
         assert float(lines["verify_error"]) <= 1e-9
 
+    def test_report_sweep_rotations(self, tmp_path, capsys):
+        mpath = tmp_path / "m.txt"
+        save_matrix(mpath, random_hermitian_unitary(np.random.default_rng(11), 16))
+        assert main(["synth", str(mpath), "--out", str(tmp_path / "c.circ")]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        per_sweep = [int(v) for v in lines["sweep_rotations"].split(",")]
+        assert len(per_sweep) == int(lines["sweeps"]) > 1
+        assert sum(per_sweep) == int(lines["rotations_executed"])
+
     @pytest.mark.parametrize("lib", ["cz", "cnot"])
     def test_one_simulation_per_synth(self, ch_file, tmp_path, monkeypatch, lib):
         simulated = []
@@ -123,6 +132,12 @@ class TestSynth:
         assert main(["synth", str(path)]) == 2
         assert "line 3: expected 2 rows, got 1" in capsys.readouterr().err
 
+    def test_comment_only_matrix(self, tmp_path, capsys):
+        path = tmp_path / "comments.txt"
+        path.write_text("# a\n# b\n")
+        assert main(["synth", str(path)]) == 2
+        assert "line 2: empty matrix file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["nan,0", "inf,0"])
     def test_non_finite_matrix(self, tmp_path, token):
         path = tmp_path / "bad.txt"
@@ -159,6 +174,12 @@ class TestVerify:
         circ = tmp_path / "neg.circ"
         circ.write_text("qubits 2\nphase 1,0\ngate X target=1 controls=+-1 params=\n")
         assert main(["verify", str(mpath), str(circ)]) == 2
+
+    def test_comment_only_matrix(self, tmp_path, capsys):
+        path = tmp_path / "comments.txt"
+        path.write_text("# a\n# b\n")
+        assert main(["synth", str(path)]) == 2
+        assert "line 2: empty matrix file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["nan,0", "inf,0"])
     def test_non_finite_matrix(self, ch_file, tmp_path, token):

@@ -8,10 +8,18 @@ from helpers import (
     CY_EMBED,
     CZ_EMBED,
     HADAMARD,
+    PAULI_X,
     PAULI_Y,
     SQRT1_2,
+    apply_rotation,
+    block_direct_sum,
     charpoly_coeffs,
+    diagonalize_row_major,
+    ordering_row_major,
+    phased_involution,
     random_hermitian_unitary,
+    step_factors,
+    two_level_matrix,
 )
 from hermsynth.errors import (
     BadDimension,
@@ -24,15 +32,11 @@ from hermsynth.errors import (
 from hermsynth.jacobi import (
     JacobiResult,
     RotationStep,
-    apply_rotation,
     diagonalize,
-    ordering_row_major,
     rotation_params,
     snap_signs,
-    step_factors,
-    two_level_matrix,
 )
-from hermsynth.matrices import is_hermitian, is_unitary, max_abs_diff, off_norm
+from hermsynth.matrices import DEFAULT_TOLERANCES, is_hermitian, is_unitary, max_abs_diff, off_norm
 
 RNG = np.random.default_rng(2718)
 
@@ -211,3 +215,52 @@ class TestDiagonalize:
         assert is_hermitian(h) and is_unitary(h)
         res = diagonalize(h)
         assert all(s in (-1, 1) for s in res.signs)
+
+
+class TestRowScan:
+    """``diagonalize`` finds each row's next pivot with one array scan; it
+    must rotate exactly the pairs the scalar row-major walk rotates. Result
+    equality compares every field, each step's angles exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_dense(self, n):
+        rng = np.random.default_rng(4000 + n)
+        for _ in range(3 if n < 6 else 1):
+            h = random_hermitian_unitary(rng, 1 << n)
+            assert diagonalize(h) == diagonalize_row_major(h)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sparse(self, n):
+        rng = np.random.default_rng(5000 + n)
+        for h in (phased_involution(rng, n), block_direct_sum(rng, n), block_direct_sum(rng, n, 8)):
+            res = diagonalize(h)
+            assert res.steps
+            assert res == diagonalize_row_major(h)
+
+    def test_entries_at_zero_tol(self):
+        # row 0 holds entries exactly at zero_tol, which are skipped, and one
+        # ulp above it, which are rotated (row 2 is empty past column 2 and
+        # the pivots' diagonal entries differ, so row 0 keeps its values);
+        # a dense block on rows 4..7 keeps the later scans busy
+        tiny = DEFAULT_TOLERANCES.zero_tol
+        above = np.nextafter(tiny, 1.0)
+        h = np.diag([1.0, -1.0, -1.0, 1.0, 0, 0, 0, 0]).astype(complex)
+        h[4:, 4:] = random_hermitian_unitary(np.random.default_rng(6), 4)
+        entries = {(0, 1): tiny, (0, 2): above, (0, 3): 1j * tiny, (0, 5): 1j * above,
+                   (1, 3): -tiny, (1, 6): tiny}
+        for (p, q), value in entries.items():
+            h[p, q], h[q, p] = value, np.conj(value)
+        res = diagonalize(h)
+        # row 0 is the first row scanned: q = 1 and 3 are skipped
+        assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 2), (0, 5)]
+        assert res == diagonalize_row_major(h)
+
+    def test_rotation_fills_later_entry_of_row(self):
+        # H (x) X: entry (0, 2) is zero until the rotation at (0, 1) mixes
+        # in row 1, whose entry (1, 2) is not; the walk then rotates (0, 2)
+        # in the same sweep
+        h = np.kron(HADAMARD, PAULI_X)
+        assert h[0, 2] == 0 and h[0, 1] != 0 and h[1, 2] != 0
+        res = diagonalize(h)
+        assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 1), (0, 2)]
+        assert res == diagonalize_row_major(h)

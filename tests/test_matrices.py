@@ -127,6 +127,12 @@ class TestTextFormat:
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: expected 2 rows, got 1"
 
+    @pytest.mark.parametrize("text, line", [("", 1), ("# a\n# b\n", 2), ("\n# a\n\n", 3)])
+    def test_empty_file_names_last_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == f"line {line}: empty matrix file"
+
     @pytest.mark.parametrize("token", ["nan,0", "0,inf", "-inf,0"])
     def test_non_finite_entry(self, token):
         with pytest.raises(ParseError) as exc:

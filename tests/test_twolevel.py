@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
+from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary, two_level_matrix
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, serialize, simulate
 from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import VerificationFailed
-from hermsynth.jacobi import RotationStep, diagonalize, two_level_matrix
+from hermsynth.jacobi import RotationStep, diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import OptLevel
 from hermsynth.twolevel import (
@@ -183,6 +183,13 @@ class TestSynthesize:
             circuit, report = synthesize(h)
             assert report.verify_error <= 1e-9
             assert max_abs_diff(simulate(circuit), h) <= 1e-9
+
+    def test_report_sweep_rotations(self):
+        h = random_hermitian_unitary(RNG, 16)
+        _, report = synthesize(h)
+        assert report.sweep_rotations == diagonalize(h).sweep_rotations
+        assert len(report.sweep_rotations) == report.sweeps
+        assert sum(report.sweep_rotations) == report.rotations_executed
 
     def test_deterministic_text(self):
         # the same matrix always gives byte-identical circuit text
