@@ -27,16 +27,14 @@ from .circuit import (
     Gate,
     GateKind,
     counts,
-    embed,
     gate_matrix,
-    inverse,
     load_circuit,
     parse as parse_circuit,
     save_circuit,
     serialize as serialize_circuit,
     simulate,
 )
-from .diagonal import ZTermSet, anf_decompose, emit_diag_circuit, sign_to_bits, synthesize_sign_diagonal
+from .diagonal import synthesize_sign_diagonal
 from .jacobi import (
     JacobiResult,
     RotationStep,

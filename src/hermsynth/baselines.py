@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, gate_matrix
 from .errors import IsPlusMinusIdentity, NotHermitianUnitary
-from .matrices import DEFAULT_TOLERANCES, HALF_PI, Tolerances, as_matrix, is_hermitian, is_unitary
+from .matrices import DEFAULT_TOLERANCES, HALF_PI, as_matrix, is_hermitian, is_unitary
 
 _ANGLE_EPS = 1e-12
 
@@ -37,9 +37,6 @@ class H2Params:
     theta: float
     alpha: float
 
-    def matrix(self) -> np.ndarray:
-        return h2_matrix(self.theta, self.alpha)
-
 
 def h2_matrix(theta: float, alpha: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
@@ -47,9 +44,9 @@ def h2_matrix(theta: float, alpha: float) -> np.ndarray:
     return np.array([[c, s * e.conjugate()], [s * e, -c]], dtype=complex)
 
 
-def h2_params(u, tol: Tolerances | None = None) -> H2Params:
+def h2_params(u) -> H2Params:
     """Extract (theta, alpha) from a 2x2 Hermitian unitary other than +/-I."""
-    tol = tol or DEFAULT_TOLERANCES
+    tol = DEFAULT_TOLERANCES
     m = as_matrix(u)
     if m.shape != (2, 2):
         raise NotHermitianUnitary(f"expected a 2x2 matrix, got {m.shape}")
@@ -77,8 +74,9 @@ def _phase_gate(angle: float, target: int) -> Gate:
     return Gate(GateKind.PHASE, target, (), angle)
 
 
-def jacobi_cu(params: H2Params, k: int, n: int | None = None) -> Circuit:
-    """Controlled Hermitian gate as rotations conjugating one C^k Z.
+def jacobi_cu(params: H2Params, k: int) -> Circuit:
+    """Controlled Hermitian gate as rotations conjugating one C^k Z, on
+    k + 1 wires: positive controls on wires 0..k-1, the target on wire k.
 
     Produces, in time order, PHASE(-alpha), RY(theta), C^k Z, RY(-theta),
     PHASE(alpha), with the outer single-qubit gates uncontrolled (the two
@@ -87,11 +85,7 @@ def jacobi_cu(params: H2Params, k: int, n: int | None = None) -> Circuit:
     """
     if k < 0:
         raise ValueError("control count must be nonnegative")
-    if n is None:
-        n = k + 1
-    if n != k + 1:
-        raise ValueError(f"need n = k + 1, got n={n}, k={k}")
-    target = n - 1
+    target = k
     controls = tuple((q, True) for q in range(k))
     theta, alpha = params.theta, params.alpha
     gates: list[Gate] = []
@@ -104,7 +98,7 @@ def jacobi_cu(params: H2Params, k: int, n: int | None = None) -> Circuit:
         gates.append(Gate(GateKind.RY, target, (), -theta))
     if abs(alpha) > _ANGLE_EPS:
         gates.append(_phase_gate(alpha, target))
-    return Circuit(n, tuple(gates))
+    return Circuit(k + 1, tuple(gates))
 
 
 def barenco_cu(params: H2Params) -> Circuit:

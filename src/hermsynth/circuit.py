@@ -188,14 +188,6 @@ def _apply_gate(t: np.ndarray, gate: Gate) -> None:
     a[...] = new_a
 
 
-def embed(gate: Gate, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of one controlled gate."""
-    _check_indices(gate, n)
-    m = np.eye(1 << n, dtype=complex)
-    _apply_gate(m.reshape((2,) * n + (1 << n,)), gate)
-    return m
-
-
 def simulate(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit, including its global phase."""
     n = circuit.n_qubits
@@ -248,19 +240,14 @@ def invert_gates(gates) -> tuple[Gate, ...]:
     return tuple(invert_gate(g) for g in reversed(tuple(gates)))
 
 
-def inverse(circuit: Circuit) -> Circuit:
-    return Circuit(
-        circuit.n_qubits,
-        invert_gates(circuit.gates),
-        global_phase=circuit.global_phase.conjugate(),
-    )
-
-
 def counts(circuit: Circuit) -> dict[str, int]:
-    """Histogram over gate classes: CZ, CNOT, MCX, MCZ, MCRY, MCPHASE, single.
+    """Histogram over gate classes: CZ, CNOT, MCX, MCZ, MCRY, MCPHASE, MCH,
+    MCY and single.
 
-    Uncontrolled gates of every kind fall in the ``single`` bucket; phase-type
-    kinds (S, SDG, PHASE, RZ) with controls count as MCPHASE.
+    Uncontrolled gates of every kind fall in the ``single`` bucket. A Z or X
+    with one control is CZ or CNOT, with more it is MCZ or MCX; phase-type
+    kinds (S, SDG, PHASE, RZ) with controls count as MCPHASE, and a
+    controlled H or Y as MCH or MCY, whatever its number of controls.
     """
     hist: dict[str, int] = {}
     for g in circuit.gates:

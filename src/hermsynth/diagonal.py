@@ -8,88 +8,42 @@ arithmetic, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Gate, GateKind
 from .errors import BadDimension
 
 
-@dataclass(frozen=True)
-class ZTermSet:
-    """ANF of a sign diagonal: qubit subsets plus an optional constant -1."""
+def synthesize_sign_diagonal(signs) -> tuple[tuple[Gate, ...], complex]:
+    """Gates and global phase realizing diag(signs) exactly.
 
-    terms: frozenset[frozenset[int]]
-    has_global_minus: bool
-
-    def __post_init__(self):
-        for term in self.terms:
-            if not term:
-                raise ValueError("terms must be nonempty qubit subsets")
-
-
-def _qubit_count(length: int) -> int:
-    if length < 2 or length & (length - 1):
-        raise BadDimension(f"length must be a power of two >= 2, got {length}")
-    return length.bit_length() - 1
-
-
-def sign_to_bits(signs) -> tuple[int, ...]:
-    """bit_k = 1 iff signs_k = -1."""
-    bits = []
+    Each nonzero monomial of the ANF becomes a Z on its highest qubit with
+    positive controls on the rest, ordered by size and then by ascending
+    qubits; the constant term becomes a global -1 (unobservable, but kept so
+    reconstruction is exact including phase). Index bit b of a basis state
+    is qubit n-1-b (qubit 0 is the most significant bit).
+    """
+    coeffs = []
     for s in signs:
         if s == 1:
-            bits.append(0)
+            coeffs.append(0)
         elif s == -1:
-            bits.append(1)
+            coeffs.append(1)
         else:
             raise ValueError(f"sign entries must be +1 or -1, got {s!r}")
-    _qubit_count(len(bits))
-    return tuple(bits)
-
-
-def anf_decompose(bits, n: int) -> ZTermSet:
-    """Moebius transform over GF(2) of the bit vector, as qubit subsets.
-
-    Index bit b of a basis state corresponds to qubit n-1-b (qubit 0 is the
-    most significant bit).
-    """
-    coeffs = [int(b) & 1 for b in bits]
-    if len(coeffs) != 1 << n:
-        raise BadDimension(f"expected {1 << n} bits, got {len(coeffs)}")
+    size = len(coeffs)
+    if size < 2 or size & (size - 1):
+        raise BadDimension(f"length must be a power of two >= 2, got {size}")
+    n = size.bit_length() - 1
     for b in range(n):
         mask = 1 << b
-        for k in range(1 << n):
+        for k in range(size):
             if k & mask:
                 coeffs[k] ^= coeffs[k ^ mask]
-    terms = frozenset(
-        frozenset(n - 1 - b for b in range(n) if (m >> b) & 1)
-        for m in range(1, 1 << n)
+    terms = sorted(
+        (m.bit_count(), [n - 1 - b for b in reversed(range(n)) if (m >> b) & 1])
+        for m in range(1, size)
         if coeffs[m]
     )
-    return ZTermSet(terms, bool(coeffs[0]))
-
-
-def emit_diag_circuit(term_set: ZTermSet, n: int) -> tuple[tuple[Gate, ...], complex]:
-    """Gates and global phase realizing the term set exactly.
-
-    Each subset becomes a Z on its highest qubit with positive controls on
-    the rest; the constant term becomes a global -1 (unobservable, but kept
-    so reconstruction is exact including phase).
-    """
-    gates = []
-    for term in sorted(term_set.terms, key=lambda s: (len(s), tuple(sorted(s)))):
-        qubits = sorted(term)
-        if max(qubits) >= n:
-            raise BadDimension(f"term {qubits} outside {n}-qubit register")
-        target = qubits[-1]
-        controls = tuple((q, True) for q in qubits[:-1])
-        gates.append(Gate(GateKind.Z, target, controls))
-    phase = -1.0 + 0.0j if term_set.has_global_minus else 1.0 + 0.0j
-    return tuple(gates), phase
-
-
-def synthesize_sign_diagonal(signs) -> tuple[tuple[Gate, ...], complex]:
-    """Full pipeline: signs -> bits -> ANF -> multi-controlled Z gates."""
-    bits = sign_to_bits(signs)
-    n = _qubit_count(len(bits))
-    return emit_diag_circuit(anf_decompose(bits, n), n)
+    gates = tuple(
+        Gate(GateKind.Z, qubits[-1], tuple((q, True) for q in qubits[:-1])) for _, qubits in terms
+    )
+    return gates, -1.0 + 0.0j if coeffs[0] else 1.0 + 0.0j

@@ -26,7 +26,6 @@ from .errors import (
 from .matrices import (
     DEFAULT_TOLERANCES,
     HALF_PI,
-    Tolerances,
     as_matrix,
     is_hermitian,
     is_unitary,
@@ -62,7 +61,7 @@ class JacobiResult:
     signs: tuple[int, ...]
     sweeps: int
     residual: float
-    sweep_rotations: tuple[int, ...] = ()
+    sweep_rotations: tuple[int, ...]
 
 
 def rotation_params(
@@ -139,9 +138,7 @@ def snap_signs(
     return tuple(signs)
 
 
-def diagonalize(
-    h, tol: Tolerances | None = None, max_sweeps: int = 30
-) -> JacobiResult:
+def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
     Each sweep rotates, in row-major order, every pair (p, q) with p < q
@@ -153,10 +150,12 @@ def diagonalize(
     repeat until off_norm <= zero_tol * dim. Cyclic Jacobi can refill
     previously zeroed entries, hence the multi-sweep loop. The +/-1 spectrum
     of these inputs is highly degenerate, so convergence is close to linear
-    rather than quadratic: random dense inputs take about 2, 3-5, 5-7, 9-10 and
-    12 sweeps at n = 2..6, the early sweeps rotating nearly all N(N-1)/2 pairs.
+    rather than quadratic: random dense inputs take 2, 3-6, 4-9, 9-11 and
+    12-13 sweeps at n = 2..6, the early sweeps rotating nearly all N(N-1)/2
+    pairs. The tolerances are the fixed DEFAULT_TOLERANCES.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    tol = DEFAULT_TOLERANCES
+    zero_tol = tol.zero_tol
     m = as_matrix(h)
     dim = m.shape[0]
     if dim < 2 or dim & (dim - 1):
@@ -167,7 +166,7 @@ def diagonalize(
         raise NotUnitary(f"input deviates from unitarity by more than {tol.unitary_tol}")
 
     work = m.copy()
-    threshold = tol.zero_tol * dim
+    threshold = zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
     residual = off_norm(work)
@@ -180,16 +179,16 @@ def diagonalize(
             while q < dim - 1:
                 # the first entry past q above zero_tol, in row p as the
                 # last rotation left it
-                above = np.abs(row[q + 1 :]) > tol.zero_tol
+                above = np.abs(row[q + 1 :]) > zero_tol
                 k = int(above.argmax())  # the first True, or 0 if none
                 if not above[k]:
                     break
                 q += 1 + k
                 theta, alpha, has_phase = rotation_params(
-                    work[p, p].real, work[q, q].real, complex(work[p, q]), tol.zero_tol
+                    work[p, p].real, work[q, q].real, complex(work[p, q]), zero_tol
                 )
                 step = RotationStep(p, q, theta, alpha, has_phase)
-                _rotate_inplace(work, step, tol.zero_tol)
+                _rotate_inplace(work, step, zero_tol)
                 steps.append(step)
                 executed += 1
         per_sweep.append(executed)

@@ -14,7 +14,7 @@ from .circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
-from .matrices import DEFAULT_TOLERANCES, Tolerances, max_abs_diff
+from .matrices import DEFAULT_TOLERANCES, max_abs_diff
 from .optimize import OptLevel, optimize
 
 
@@ -89,34 +89,30 @@ def _assemble(result: JacobiResult, n: int) -> Circuit:
     return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)
 
 
-def verify_circuit(circuit: Circuit, h, tol: Tolerances | None = None) -> float:
+def verify_circuit(circuit: Circuit, h) -> float:
     """Max entrywise deviation of the simulated circuit from ``h``.
 
     Raises VerificationFailed if it exceeds verify_tol (which would indicate
     a bug, not a property of the input).
     """
-    tol = tol or DEFAULT_TOLERANCES
     error = max_abs_diff(simulate(circuit), h)
-    if error > tol.verify_tol:
+    if error > DEFAULT_TOLERANCES.verify_tol:
         raise VerificationFailed(error)
     return error
 
 
 def build_circuit(
-    h,
-    tol: Tolerances | None = None,
-    opt_level: OptLevel = OptLevel.FULL,
-    max_sweeps: int = 30,
+    h, opt_level: OptLevel = OptLevel.FULL, max_sweeps: int = 30
 ) -> tuple[Circuit, JacobiResult]:
     """The first step of :func:`synthesize`: diagonalize ``h``, assemble the
     circuit and optimize it. The circuit is not yet verified."""
-    result = diagonalize(h, tol, max_sweeps)
+    result = diagonalize(h, max_sweeps)
     n = len(result.signs).bit_length() - 1
     return optimize(_assemble(result, n), opt_level), result
 
 
 def verified_report(
-    circuit: Circuit, h, result: JacobiResult, opt_level: OptLevel, tol: Tolerances | None = None
+    circuit: Circuit, h, result: JacobiResult, opt_level: OptLevel
 ) -> SynthesisReport:
     """The second step of :func:`synthesize`: verify ``circuit`` against
     ``h`` with :func:`verify_circuit` and report on it."""
@@ -126,18 +122,15 @@ def verified_report(
         rotations_executed=len(result.steps),
         sweep_rotations=result.sweep_rotations,
         residual_offnorm=result.residual,
-        verify_error=verify_circuit(circuit, h, tol),
+        verify_error=verify_circuit(circuit, h),
         opt_level=opt_level,
     )
 
 
 def synthesize(
-    h,
-    tol: Tolerances | None = None,
-    opt_level: OptLevel = OptLevel.FULL,
-    max_sweeps: int = 30,
+    h, opt_level: OptLevel = OptLevel.FULL, max_sweeps: int = 30
 ) -> tuple[Circuit, SynthesisReport]:
     """Decompose a Hermitian unitary into a gate circuit and verify it:
     :func:`build_circuit`, then :func:`verified_report`."""
-    circuit, result = build_circuit(h, tol, opt_level, max_sweeps)
-    return circuit, verified_report(circuit, h, result, opt_level, tol)
+    circuit, result = build_circuit(h, opt_level, max_sweeps)
+    return circuit, verified_report(circuit, h, result, opt_level)

@@ -16,7 +16,7 @@ from hermsynth.jacobi import (
     rotation_params,
     snap_signs,
 )
-from hermsynth.matrices import DEFAULT_TOLERANCES, Tolerances, as_matrix, off_norm
+from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -119,12 +119,11 @@ def ordering_row_major(dim: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
-def diagonalize_row_major(
-    h, tol: Tolerances = DEFAULT_TOLERANCES, max_sweeps: int = 30
-) -> JacobiResult:
+def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
     """``jacobi.diagonalize`` as a scalar walk: every sweep tests each pair
     of ``ordering_row_major`` in turn and rotates it when its entry exceeds
     zero_tol. Inputs are not validated."""
+    tol = DEFAULT_TOLERANCES
     work = as_matrix(h).copy()
     dim = work.shape[0]
     threshold = tol.zero_tol * dim

@@ -282,3 +282,20 @@ def test_multi_control_structure():
         outer = [g for g in circuit.gates if g.kind is GateKind.RY]
         assert len(outer) == 2 and all(not g.controls for g in outer)
     print("\nPASS multi-control structure: uncontrolled conjugate pair around one C^(n-1) Z")
+
+
+def test_native_controlled_u_form():
+    """C^k U for U in {H, X, Y}, target on the last wire and positive
+    controls, synthesizes to the gate classes of jacobi_cu: one C^k Z between
+    uncontrolled rotations. Without strip_conjugate_controls (BASIC) the
+    rotations keep their controls, so this guards that pass."""
+    for u in (HADAMARD, PAULI_X, PAULI_Y):
+        for k in (1, 2, 3, 4):
+            h = np.eye(2 << k, dtype=complex)
+            h[-2:, -2:] = u
+            circuit, report = synthesize(h)
+            assert report.verify_error <= 1e-9
+            assert counts(circuit) == counts(jacobi_cu(h2_params(u), k))
+            basic, _ = synthesize(h, opt_level=OptLevel.BASIC)
+            assert counts(basic) != counts(circuit)
+    print("\nPASS native C^k U form: synthesize matches jacobi_cu for H, X, Y at k = 1..4")

@@ -22,9 +22,8 @@ from hermsynth.circuit import (
     GateKind,
     _apply_gate,
     counts,
-    embed,
     gate_matrix,
-    inverse,
+    invert_gates,
     parse,
     serialize,
     simulate,
@@ -126,10 +125,12 @@ class TestGateValidation:
 
 
 class TestEmbed:
+    """A gate's embedding is the simulated circuit that holds only that gate."""
+
     def test_negative_control_targets_top_wire(self):
         # nontrivial action on states 00 and 10 only
         g = Gate(GateKind.RY, 0, ((1, False),), 0.7)
-        m = embed(g, 2)
+        m = simulate(Circuit(2, (g,)))
         u = gate_matrix(GateKind.RY, 0.7)
         assert m[0, 0] == u[0, 0] and m[0, 2] == u[0, 1]
         assert m[2, 0] == u[1, 0] and m[2, 2] == u[1, 1]
@@ -137,23 +138,23 @@ class TestEmbed:
 
     def test_positive_control_bottom_block(self):
         g = Gate(GateKind.RY, 1, ((0, True),), 0.7)
-        m = embed(g, 2)
+        m = simulate(Circuit(2, (g,)))
         u = gate_matrix(GateKind.RY, 0.7)
         assert np.array_equal(m[2:, 2:], u)
         assert np.array_equal(m[:2, :2], np.eye(2))
 
     def test_cz(self):
-        m = embed(Gate(GateKind.Z, 1, ((0, True),)), 2)
+        m = simulate(Circuit(2, (Gate(GateKind.Z, 1, ((0, True),)),)))
         assert np.array_equal(m, CZ_EMBED)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            embed(Gate(GateKind.X, 3), 2)
+            Circuit(2, (Gate(GateKind.X, 3),))
 
     @pytest.mark.parametrize("kind", [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H])
     def test_controlled_hermitian_stays_hermitian_unitary(self, kind):
         g = Gate(kind, 1, ((0, True), (2, False)))
-        m = embed(g, 3)
+        m = simulate(Circuit(3, (g,)))
         assert is_hermitian(m) and is_unitary(m)
 
 
@@ -214,12 +215,13 @@ class TestSimulate:
     def test_inverse_gives_identity(self):
         for _ in range(20):
             c = random_circuit(RNG, 3, 12)
-            both = Circuit(3, c.gates + inverse(c).gates)
+            both = Circuit(3, c.gates + invert_gates(c.gates))
             assert max_abs_diff(simulate(both), np.eye(8)) < 1e-10
 
     def test_inverse_conjugates_phase(self):
-        c = Circuit(1, (), global_phase=1j)
-        assert inverse(c).global_phase == -1j
+        c = Circuit(1, (Gate(GateKind.S, 0),), global_phase=1j)
+        inv = Circuit(1, invert_gates(c.gates), c.global_phase.conjugate())
+        assert np.array_equal(simulate(inv) @ simulate(c), np.eye(2))
 
 
 def tensor_reference(circuit: Circuit) -> np.ndarray:
@@ -313,7 +315,8 @@ class TestTwoRowSimulate:
         h = Gate(GateKind.H, 0)
         c = Circuit(3, (swap, h, swap))
         assert np.array_equal(simulate(c), tensor_reference(c))
-        assert np.array_equal(simulate(c), embed(swap, 3) @ embed(h, 3) @ embed(swap, 3))
+        swap_m, h_m = (simulate(Circuit(3, (g,))) for g in (swap, h))
+        assert np.array_equal(simulate(c), swap_m @ h_m @ swap_m)
 
     def test_ends_on_x(self):
         # rows 01 and 11 of the diagonal product trade places at the end
@@ -363,7 +366,8 @@ class TestDiagonalHalfSlice:
         expected = np.eye(1 << n)
         for gate in c.gates:
             expected = kron_embedding(gate, n) @ expected
-            assert np.array_equal(embed(gate, n), full_update_reference(Circuit(n, (gate,))))
+            single = Circuit(n, (gate,))
+            assert np.array_equal(simulate(single), full_update_reference(single))
         assert max_abs_diff(simulate(c), c.global_phase * expected) < 1e-12
 
 
@@ -409,6 +413,15 @@ class TestCounts:
             "MCRY": 1,
             "MCPHASE": 2,
         }
+
+    def test_controlled_h_and_y_keep_their_kind(self):
+        gates = (
+            Gate(GateKind.H, 0, ((1, True),)),
+            Gate(GateKind.H, 0, ((1, True), (2, False))),
+            Gate(GateKind.Y, 2, ((0, False),)),
+            Gate(GateKind.RZ, 2, ((0, True),), 0.3),
+        )
+        assert counts(Circuit(3, gates)) == {"MCH": 2, "MCY": 1, "MCPHASE": 1}
 
     def test_total_matches_length(self):
         c = random_circuit(RNG, 4, 25)

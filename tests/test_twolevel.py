@@ -230,14 +230,6 @@ class TestSynthesize:
         assert sum(report.gate_counts.values()) == len(circuit.gates)
         assert report.opt_level is OptLevel.FULL
 
-    def test_custom_tolerances(self):
-        from hermsynth.matrices import Tolerances
-
-        h = random_hermitian_unitary(RNG, 4)
-        tight = Tolerances(verify_tol=1e-6)
-        _, report = synthesize(h, tol=tight)
-        assert report.verify_error <= 1e-6
-
 
 class TestVerifyCircuit:
     def test_raises_above_tolerance(self):
