@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -105,23 +106,28 @@ class Gate:
     target: int
     controls: tuple[tuple[int, bool], ...] = ()
     param: float | None = None
+    # the largest qubit index the gate touches, for Circuit's range check
+    highest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.target < 0:
-            raise ValueError(f"negative target {self.target}")
-        ctrls = self.controls
-        if any(ctrls[i][0] >= ctrls[i + 1][0] for i in range(len(ctrls) - 1)):
-            ctrls = tuple(sorted(ctrls))
-            object.__setattr__(self, "controls", ctrls)
-        if ctrls and ctrls[0][0] < 0:  # sorted, so the first is the smallest
-            raise ValueError(f"negative control {ctrls[0][0]}")
-        seen = set()
-        for q, _ in ctrls:
-            if q in seen:
+        target, ctrls = self.target, self.controls
+        if target < 0:
+            raise ValueError(f"negative target {target}")
+        highest = target
+        if ctrls:
+            qubits = [q for q, _ in ctrls]
+            if qubits != sorted(qubits):
+                ctrls = tuple(sorted(ctrls))
+                object.__setattr__(self, "controls", ctrls)
+                qubits.sort()
+            if qubits[0] < 0:
+                raise ValueError(f"negative control {qubits[0]}")
+            if len(set(qubits)) < len(qubits):
                 raise ValueError("duplicate control qubits")
-            seen.add(q)
-        if self.target in seen:
-            raise ValueError(f"target {self.target} also listed as control")
+            if target in qubits:
+                raise ValueError(f"target {target} also listed as control")
+            highest = qubits[-1] if qubits[-1] > target else target
+        object.__setattr__(self, "highest", highest)
         if self.kind.parametric:
             if self.param is None or not math.isfinite(self.param):
                 raise ValueError(f"{self.kind.value} requires a finite angle")
@@ -144,16 +150,8 @@ class Circuit:
         object.__setattr__(self, "global_phase", complex(self.global_phase))
         if not abs(abs(self.global_phase) - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"global phase {self.global_phase} is not unit modulus")
-        # Controls are sorted, so a gate's highest qubit is its target or its
-        # last control; only a circuit with one out of range walks every gate.
-        highest = max(
-            (
-                g.controls[-1][0] if g.controls and g.controls[-1][0] > g.target else g.target
-                for g in self.gates
-            ),
-            default=0,
-        )
-        if highest >= self.n_qubits:
+        # only a circuit with a gate out of range walks every gate
+        if max(map(attrgetter("highest"), self.gates), default=0) >= self.n_qubits:
             for g in self.gates:
                 _check_indices(g, self.n_qubits)
 
@@ -228,16 +226,17 @@ def simulate(circuit: Circuit) -> np.ndarray:
 
 
 def invert_gate(gate: Gate) -> Gate:
-    if gate.kind.parametric:
-        return replace(gate, param=-gate.param)
-    if gate.kind.inverse is gate.kind:
+    kind = gate.kind
+    if kind.parametric:
+        return Gate(kind, gate.target, gate.controls, -gate.param)
+    if kind.inverse is kind:
         return gate
-    return replace(gate, kind=gate.kind.inverse)
+    return Gate(kind.inverse, gate.target, gate.controls)
 
 
 def invert_gates(gates) -> tuple[Gate, ...]:
     """Gate list implementing the inverse: reversed order, inverted gates."""
-    return tuple(invert_gate(g) for g in reversed(tuple(gates)))
+    return tuple(map(invert_gate, reversed(tuple(gates))))
 
 
 def counts(circuit: Circuit) -> dict[str, int]:

@@ -56,6 +56,7 @@ def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
         f"sweeps: {report.sweeps}",
         f"rotations_executed: {report.rotations_executed}",
         f"sweep_rotations: {','.join(map(str, report.sweep_rotations))}",
+        f"sweep_residuals: {','.join(f'{r:.17g}' for r in report.sweep_residuals)}",
         f"residual_offnorm: {report.residual_offnorm:.17g}",
         f"verify_error: {report.verify_error:.17g}",
         f"gates_total: {sum(report.gate_counts.values())}",

@@ -60,8 +60,9 @@ class JacobiResult:
     steps: tuple[RotationStep, ...]
     signs: tuple[int, ...]
     sweeps: int
-    residual: float
-    sweep_rotations: tuple[int, ...]
+    residual: float  # off_norm when the sweeps stopped
+    sweep_rotations: tuple[int, ...]  # rotations in each sweep, first to last
+    sweep_residuals: tuple[float, ...]  # off_norm after each sweep; the last is ``residual``
 
 
 def rotation_params(
@@ -169,6 +170,7 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     threshold = zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
+    residuals: list[float] = []
     residual = off_norm(work)
     sweeps = 0
     while sweeps < max_sweeps:
@@ -193,9 +195,12 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
                 executed += 1
         per_sweep.append(executed)
         residual = off_norm(work)
+        residuals.append(residual)
         if residual <= threshold:
             break
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
     signs = snap_signs(np.diagonal(work), tol.sign_tol)
-    return JacobiResult(tuple(steps), signs, sweeps, residual, tuple(per_sweep))
+    return JacobiResult(
+        tuple(steps), signs, sweeps, residual, tuple(per_sweep), tuple(residuals)
+    )

@@ -4,13 +4,18 @@ Every pass keeps the simulated matrix bit-for-bit up to float roundoff and
 never touches the global phase. Rules are deliberately conservative: they
 only match structurally (literal adjacency, identical target and control
 tuples), which is sufficient for the shapes the synthesizer emits.
+
+The strip pass tests a 2x2 payload product for the identity only where it
+might be one. Before building the product it applies an exact rejection
+test (``_cannot_cancel``), which skips a run only when the product provably
+fails the identity test; on dense inputs nearly every run is skipped this
+way, since none of them strips.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
 from enum import Enum
-from itertools import groupby
 
 from .circuit import Circuit, Gate, GateKind, gate_entries
 from .matrices import HALF_PI
@@ -34,7 +39,7 @@ def _combine(g1: Gate, g2: Gate):
     if not g1.kind.parametric:
         return None
     total = g1.param + g2.param
-    return None if total == 0.0 else replace(g1, param=total)
+    return None if total == 0.0 else Gate(g1.kind, g1.target, g1.controls, total)
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
@@ -87,14 +92,61 @@ def _mul_2x2(left, right):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _strip_run(run: list[Gate]) -> list[Gate] | None:
+# A run whose only RY has an off-diagonal modulus above this is never the
+# identity: ten times _IDENTITY_EPS leaves room for the product's roundoff.
+_RY_EPS = 1e-12
+
+
+def _cannot_cancel(gates) -> bool:
+    """True only if the payload product of ``gates``, in any order, provably
+    fails ``_is_identity_2x2``; False means the product must be built.
+
+    X and Y are antidiagonal and Z, S, SDG, PHASE and RZ diagonal, each with
+    unit-modulus nonzero entries, so a product of these kinds is diagonal or
+    antidiagonal. In floating point too: where one factor of a 2x2 product
+    is such a matrix, every entry of the product is one term plus a finite
+    number times an exact 0, so structural zeros stay exact. So:
+
+    - With no RY or H and an odd number of X and Y, the product has exact
+      zeros on its diagonal, so ``|a - 1| = 1``: not the identity.
+    - With one RY(t) and no H, the product is M1 RY M2 for such products M1
+      and M2. An even number of X and Y leaves the off-diagonal entries at
+      sin(t/2), an odd number at cos(t/2), each times unit-modulus factors.
+      Each factor adds a few ulp of relative error, so an off-diagonal
+      modulus above _RY_EPS stays above _IDENTITY_EPS (a run would need
+      some 10^14 gates to lose that factor of ten): not the identity.
+
+    Any other run (an H, two RYs, or a modulus at most _RY_EPS, as for RY
+    angles near a multiple of 2 pi, or of pi with an odd X/Y count) gets
+    the full product test.
+    """
+    odd = False
+    ry = None
+    for g in gates:
+        kind = g.kind
+        if kind.diagonal:
+            continue
+        if kind is GateKind.X or kind is GateKind.Y:
+            odd = not odd
+        elif kind is GateKind.RY and ry is None:
+            ry = g.param
+        else:  # H, or a second RY
+            return False
+    if ry is None:
+        return odd
+    half = ry / 2.0  # as gate_entries computes it, so the moduli match
+    return abs(math.cos(half) if odd else math.sin(half)) > _RY_EPS
+
+
+def _strip_run(run: tuple[Gate, ...]) -> list[Gate] | None:
     """Strip the controls of one conjugate pair around a controlled diagonal.
 
     ``run`` is a contiguous window with identical nonempty controls and
     target. For each maximal block of diagonal kinds taken as the pivot,
     the surrounding payloads A (after) and B (before) are tested for
     A.B = I on the target; if so their controls are redundant, since
-    control-off states see A.B = I either way.
+    control-off states see A.B = I either way. A block whose payloads
+    ``_cannot_cancel`` proves unequal to I is skipped without a product.
     """
     k = 0
     while k < len(run):
@@ -106,25 +158,43 @@ def _strip_run(run: list[Gate]) -> list[Gate] | None:
             k += 1
         hi = k  # run[lo:hi] is diagonal
         before, after = run[:lo], run[hi:]
-        if not before and not after:
+        if not before and not after or _cannot_cancel(before + after):
             continue
         if _is_identity_2x2(_mul_2x2(_payload_product(after), _payload_product(before))):
             return (
-                [replace(g, controls=()) for g in before]
-                + run[lo:hi]
-                + [replace(g, controls=()) for g in after]
+                [Gate(g.kind, g.target, (), g.param) for g in before]
+                + list(run[lo:hi])
+                + [Gate(g.kind, g.target, (), g.param) for g in after]
             )
     return None
 
 
 def strip_conjugate_controls(circuit: Circuit) -> Circuit:
-    """Remove redundant controls from conjugate pairs around controlled diagonals."""
+    """Remove redundant controls from conjugate pairs around controlled diagonals.
+
+    Runs of neighbouring gates on one site (target and controls) are found
+    in place; a run of one gate, or of uncontrolled gates, is kept as it is.
+    Each longer run goes to ``_strip_run``, which skips, without building a
+    product, every diagonal block whose payloads ``_cannot_cancel`` proves
+    unequal to I. That test is exact, so the pass returns the same gates as
+    testing every block's product.
+    """
+    gates = circuit.gates
+    count = len(gates)
     out: list[Gate] = []
-    for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
-        run = list(run)
-        # a single gate has nothing on either side of its diagonal block
-        stripped = _strip_run(run) if controls and len(run) > 1 else None
-        out.extend(stripped or run)
+    start = 0
+    while start < count:
+        first = gates[start]
+        target, controls = first.target, first.controls
+        end = start + 1
+        while end < count and gates[end].target == target and gates[end].controls == controls:
+            end += 1
+        if end - start == 1:
+            out.append(first)
+        else:
+            run = gates[start:end]
+            out += (controls and _strip_run(run)) or run  # uncontrolled: nothing to strip
+        start = end
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
 

@@ -9,6 +9,7 @@ the controlled rotation fires on that pair, and the ladder unwinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from .diagonal import synthesize_sign_diagonal
@@ -24,6 +25,7 @@ class SynthesisReport:
     sweeps: int
     rotations_executed: int
     sweep_rotations: tuple[int, ...]  # rotations in each sweep, first to last
+    sweep_residuals: tuple[float, ...]  # off-diagonal norm after each sweep
     residual_offnorm: float
     verify_error: float
     opt_level: OptLevel
@@ -46,9 +48,16 @@ def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(states)
 
 
+@cache
 def _controls(state: int, target: int, n: int) -> tuple[tuple[int, bool], ...]:
     """Every qubit but ``target``, controlled on its bit in ``state``."""
     return tuple((qb, bool((state >> (n - 1 - qb)) & 1)) for qb in range(n) if qb != target)
+
+
+@cache
+def _full_x(state: int, qubit: int, n: int) -> Gate:
+    """The X on ``qubit`` controlled on every other bit of ``state``."""
+    return Gate(GateKind.X, qubit, _controls(state, qubit, n))
 
 
 def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
@@ -60,12 +69,18 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     pivot the controlled gate sees the pair in swapped order, which negates
     theta and, for complex pivots, requires conjugating the phase gate with
     the pivot transposition.
+
+    Every control tuple and every X gate (the ladder's and the swapped
+    orientation's ``flip``) is built once per (state, qubit, n) and then
+    shared by all steps and circuits: ``Gate`` is frozen, so a shared object
+    is safe, and it was validated once when it was built. The two caches
+    hold at most n * 2^n entries each per qubit count.
     """
     if step.q >= 1 << n:
         raise IndexOutOfRange(f"step ({step.p}, {step.q}) outside {n} qubits")
     states = gray_path(step.p, step.q, n)
     flips = [n - 1 - ((a ^ b).bit_length() - 1) for a, b in zip(states, states[1:])]
-    ladder = tuple(Gate(GateKind.X, qb, _controls(s, qb, n)) for s, qb in zip(states, flips[:-1]))
+    ladder = tuple(_full_x(s, qb, n) for s, qb in zip(states, flips[:-1]))
     i = flips[-1]
     controls = _controls(step.q, i, n)
     if (step.q >> (n - 1 - i)) & 1:
@@ -76,7 +91,7 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
         # swapped orientation: the ladder parked |p> on the pivot-1 state
         core = (Gate(GateKind.RY, i, controls, -step.theta),)
         if step.has_phase:
-            flip = Gate(GateKind.X, i, controls)
+            flip = _full_x(step.q, i, n)
             core += (flip, Gate(GateKind.PHASE, i, controls, -step.alpha), flip)
     return ladder + core + ladder[::-1]
 
@@ -121,6 +136,7 @@ def verified_report(
         sweeps=result.sweeps,
         rotations_executed=len(result.steps),
         sweep_rotations=result.sweep_rotations,
+        sweep_residuals=result.sweep_residuals,
         residual_offnorm=result.residual,
         verify_error=verify_circuit(circuit, h),
         opt_level=opt_level,

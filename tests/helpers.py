@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from hermsynth.jacobi import (
     snap_signs,
 )
 from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
+from hermsynth.optimize import _is_identity_2x2, _mul_2x2, _payload_product
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -129,6 +132,7 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
     threshold = tol.zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
+    residuals: list[float] = []
     residual = off_norm(work)
     sweeps = 0
     while sweeps < max_sweeps:
@@ -146,12 +150,15 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
             executed += 1
         per_sweep.append(executed)
         residual = off_norm(work)
+        residuals.append(residual)
         if residual <= threshold:
             break
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
     signs = snap_signs(np.diagonal(work), tol.sign_tol)
-    return JacobiResult(tuple(steps), signs, sweeps, residual, tuple(per_sweep))
+    return JacobiResult(
+        tuple(steps), signs, sweeps, residual, tuple(per_sweep), tuple(residuals)
+    )
 
 
 def apply_rotation(
@@ -210,3 +217,41 @@ def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
     new_a = u00 * a + u01 * b
     b[...] = u10 * a + u11 * b
     a[...] = new_a
+
+
+# --- reference for the strip pass ---------------------------------------------
+
+
+def strip_run_unfiltered(run: list[Gate]) -> list[Gate] | None:
+    """``optimize._strip_run`` without its rejection test: every diagonal
+    block's payload product is built and tested for the identity."""
+    k = 0
+    while k < len(run):
+        if not run[k].kind.diagonal:
+            k += 1
+            continue
+        lo = k
+        while k < len(run) and run[k].kind.diagonal:
+            k += 1
+        hi = k
+        before, after = run[:lo], run[hi:]
+        if not before and not after:
+            continue
+        if _is_identity_2x2(_mul_2x2(_payload_product(after), _payload_product(before))):
+            return (
+                [replace(g, controls=()) for g in before]
+                + run[lo:hi]
+                + [replace(g, controls=()) for g in after]
+            )
+    return None
+
+
+def strip_conjugate_controls_unfiltered(circuit: Circuit) -> Circuit:
+    """``optimize.strip_conjugate_controls`` with ``strip_run_unfiltered``
+    on every same-site run of more than one controlled gate."""
+    out: list[Gate] = []
+    for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
+        run = list(run)
+        stripped = strip_run_unfiltered(run) if controls and len(run) > 1 else None
+        out.extend(stripped or run)
+    return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)

@@ -5,7 +5,8 @@ from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
 from hermsynth import twolevel
 from hermsynth.circuit import Circuit, counts, load_circuit, save_circuit, serialize
 from hermsynth.cli import main
-from hermsynth.matrices import parse_matrix, save_matrix
+from hermsynth.jacobi import diagonalize
+from hermsynth.matrices import load_matrix, parse_matrix, save_matrix
 
 RNG = np.random.default_rng(777)
 
@@ -81,6 +82,18 @@ class TestSynth:
         per_sweep = [int(v) for v in lines["sweep_rotations"].split(",")]
         assert len(per_sweep) == int(lines["sweeps"]) > 1
         assert sum(per_sweep) == int(lines["rotations_executed"])
+
+    def test_report_sweep_residuals(self, tmp_path, capsys):
+        h = random_hermitian_unitary(np.random.default_rng(11), 16)
+        mpath = tmp_path / "m.txt"
+        save_matrix(mpath, h)
+        assert main(["synth", str(mpath), "--out", str(tmp_path / "c.circ")]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        residuals = [float(v) for v in lines["sweep_residuals"].split(",")]
+        assert len(residuals) == int(lines["sweeps"]) > 1
+        assert residuals[-1] == float(lines["residual_offnorm"])
+        # .17g round-trips every double
+        assert tuple(residuals) == diagonalize(load_matrix(mpath)).sweep_residuals
 
     @pytest.mark.parametrize("lib", ["cz", "cnot"])
     def test_one_simulation_per_synth(self, ch_file, tmp_path, monkeypatch, lib):

@@ -193,6 +193,15 @@ class TestDiagonalize:
         assert res.residual <= 1e-12 * 16
         assert snap_signs(res.signs) == res.signs
 
+    def test_sweep_residuals(self):
+        # the off-norm after each sweep; only the last is at the threshold
+        h = random_hermitian_unitary(RNG, 16)
+        res = diagonalize(h)
+        assert len(res.sweep_residuals) == res.sweeps > 1
+        assert res.sweep_residuals[-1] == res.residual <= 1e-12 * 16
+        assert all(r > 1e-12 * 16 for r in res.sweep_residuals[:-1])
+        assert res.sweep_residuals[0] < off_norm(h)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             diagonalize(np.array([[0, 1], [0, 0]], dtype=complex))

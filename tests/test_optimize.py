@@ -5,8 +5,19 @@ from functools import cache
 import numpy as np
 import pytest
 
-from helpers import CNOT_EMBED, CZ_EMBED, random_circuit, random_hermitian_unitary
-from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
+from helpers import (
+    CNOT_EMBED,
+    CZ_EMBED,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    block_direct_sum,
+    phased_involution,
+    random_circuit,
+    random_hermitian_unitary,
+    strip_conjugate_controls_unfiltered,
+)
+from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gate, invert_gates, simulate
 from hermsynth.jacobi import diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
@@ -264,3 +275,118 @@ class TestFullLoop:
         calls = record_passes(monkeypatch)
         assert optimize(c, OptLevel.FULL).gates == full_rounds_reference(c)[0].gates == c.gates
         assert calls == ["strip", "cancel"]
+
+
+# RY angles at which the off-diagonal entries sin(t/2) or cos(t/2) sit at
+# or near 0, and time-ordered monomial gates whose product equals RY(t)
+# there up to roundoff.
+X, Y, Z, S, RZ, PHASE = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.RZ, GateKind.PHASE)
+RY_AS_MONOMIALS = {
+    0.0: (),
+    1e-14: (),
+    -1e-14: (),
+    4 * math.pi: (),
+    -4 * math.pi: (),
+    2 * math.pi: (Z, X, Z, X),
+    -2 * math.pi: (Z, X, Z, X),
+    math.pi: (X, Z),
+    -math.pi: (Z, X),
+    3 * math.pi: (Z, X),
+    -3 * math.pi: (X, Z),
+}
+SPECIAL_RY = tuple(RY_AS_MONOMIALS)
+SITE = (1, ((0, True), (2, False)))
+
+
+def site_gate(kind, param=None):
+    return Gate(kind, SITE[0], SITE[1], param)
+
+
+def random_site_gate(rng, kinds):
+    kind = kinds[rng.integers(len(kinds))]
+    if kind is GateKind.RY:
+        return site_gate(kind, SPECIAL_RY[rng.integers(len(SPECIAL_RY))])
+    if kind.parametric:
+        return site_gate(kind, float(rng.choice([0.0, math.pi, -math.pi, rng.uniform(-4, 4)])))
+    return site_gate(kind)
+
+
+def random_site_run(rng) -> tuple[Gate, ...]:
+    """A same-site run B D A: random gates B over every kind, a diagonal
+    block D, and A undoing B, with some RY inverses written as monomials so
+    that the run holds a single RY whose product with them is near I."""
+    kinds = list(GateKind)
+    diagonal = [k for k in kinds if k.diagonal]
+    before = [random_site_gate(rng, kinds) for _ in range(rng.integers(1, 4))]
+    block = [random_site_gate(rng, diagonal) for _ in range(rng.integers(1, 3))]
+    after = []
+    for g in reversed(before):
+        if g.kind is GateKind.RY and rng.integers(2):
+            after += [site_gate(k) for k in RY_AS_MONOMIALS[-g.param]]
+        else:
+            after.append(invert_gate(g))
+    if rng.integers(4) == 0:  # an unrelated tail
+        after.append(random_site_gate(rng, kinds))
+    return tuple(before + block + after)
+
+
+def strip_rounds_agree(circuit: Circuit) -> int:
+    """Run strip and cancel to the fixpoint, asserting at every round that
+    the filtered strip returns the reference's gates; the number of rounds
+    in which the reference stripped something."""
+    changed = 0
+    current = circuit
+    while True:
+        stripped = strip_conjugate_controls(current)
+        assert stripped.gates == strip_conjugate_controls_unfiltered(current).gates
+        if stripped.gates == current.gates:
+            return changed
+        changed += 1
+        current = cancel_adjacent_inverses(stripped)
+
+
+class TestStripFilter:
+    """The rejection test in strip_conjugate_controls skips only runs whose
+    payload product cannot be I: the pass returns the same gates as
+    building every product (tests/helpers.strip_conjugate_controls_unfiltered)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_assembled_dense(self, n):
+        strip_rounds_agree(assembled(n, 300 + n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_assembled_sparse(self, n):
+        rng = np.random.default_rng(400 + n)
+        for h in (phased_involution(rng, n), block_direct_sum(rng, n)):
+            strip_rounds_agree(_assemble(diagonalize(h), n))
+
+    def test_controlled_u_family(self):
+        for u in (HADAMARD, PAULI_X, PAULI_Y):
+            for k in (1, 2, 3, 4):
+                h = np.eye(2 << k, dtype=complex)
+                h[-2:, -2:] = u
+                assert strip_rounds_agree(_assemble(diagonalize(h), k + 1)) > 0
+
+    def test_single_ry_with_odd_xy_count(self):
+        # RY(pi) X X Z X and RY(pi) Y RZ(pi) PHASE(-pi) multiply to I up to
+        # roundoff, with cos(pi/2), not sin, off the diagonal
+        head = (site_gate(GateKind.RY, math.pi), site_gate(S))
+        for tail in (
+            (site_gate(X), site_gate(X), site_gate(Z), site_gate(X)),
+            (site_gate(Y), site_gate(RZ, math.pi), site_gate(PHASE, -math.pi)),
+        ):
+            run = head + tail
+            c = Circuit(3, run)
+            out = strip_conjugate_controls(c)
+            assert out.gates == strip_conjugate_controls_unfiltered(c).gates != run
+            assert max_abs_diff(simulate(out), simulate(c)) < 1e-12
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(77)
+        stripped = 0
+        for _ in range(3000):
+            c = Circuit(3, random_site_run(rng))
+            out = strip_conjugate_controls(c)
+            assert out.gates == strip_conjugate_controls_unfiltered(c).gates
+            stripped += out.gates != c.gates
+        assert stripped > 300

@@ -1,0 +1,143 @@
+"""The full pipeline's output, pinned by hash, and its determinism."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import block_direct_sum, phased_involution, random_hermitian_unitary
+from hermsynth import twolevel
+from hermsynth.circuit import counts, serialize
+from hermsynth.twolevel import synthesize
+
+TESTS = Path(__file__).resolve().parent
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def pinned_input(name: str, n: int) -> np.ndarray:
+    if name == "dense":
+        return random_hermitian_unitary(np.random.default_rng(9100 + n), 1 << n)
+    rng = np.random.default_rng(9200 + n)
+    involution = phased_involution(rng, n)
+    return involution if name == "involution" else block_direct_sum(rng, n)
+
+
+# (input, n) -> (first 16 hex digits of the input bytes' sha256, sha256 of the
+# ``serialize`` text, sha256 of ``repr(sorted(counts(circuit).items()))``).
+# The inputs come from numpy's Generator and LAPACK's QR; the input digest
+# tells a numpy build that rounds them differently apart from a changed
+# circuit.
+PINNED = {
+    ("dense", 1): (
+        "d640908f82aebd02",
+        "7186aaa3a4d3b39d61c20538dc772846f816414265bff46bb41923eaa912e833",
+        "1c43bb2bb512bb5f6ab303d4f5fc3529ca18829b9415807e7662bb5045e8c895",
+    ),
+    ("dense", 2): (
+        "9b23daaf1ccf5d6f",
+        "3940f634faa7f270d332c2234ca8cc04432d1f97fc5189980495c0abd458c4cd",
+        "59798525d0977c1214c52755e961522fae1c884b7161a28b4c6f3af1f53f3d6f",
+    ),
+    ("dense", 3): (
+        "d8f11d7f2fc7d1ab",
+        "f42dccc2de3b4337c3e1700eed77c836acad1b2e8a32437aa8b05c1cf0c5786f",
+        "321d57d975120fc0787eecb2e96b781ac63ab57d50f842051703fe1da3efeca2",
+    ),
+    ("dense", 4): (
+        "2eff0b20c6b70005",
+        "a1f0910a18c9c7aaa4734a339516fcd82f4dfad7073f87443f0f938a63fb315b",
+        "f4e0a6248c7986eeaee7495991147f4d25cdcc16960d28d7fb05d9d8a0f2e5b9",
+    ),
+    ("dense", 5): (
+        "0012a32928d52183",
+        "8b71019b61b71507ac7592abf3b4b47465a50eca54c438ec93a18d020e5871f8",
+        "82b217b32ed0c50323a39bd3960488e03ead72dd7683566836d80331ac49203b",
+    ),
+    ("involution", 6): (
+        "c583357df54c10d9",
+        "9ac18e62c4d37276a079d6d47c33533547acb6f2d82f411bf943fc85689b9636",
+        "73822fdda7a2524df363b5eaef999245adf7b334c8a66bfa2683d11c0c108ec7",
+    ),
+    ("blocks", 6): (
+        "e6d814bdb0a9aad8",
+        "18f917c8fee95accbc33b31e290415e2f5970e473705f0d0e2eb00620a45eeb1",
+        "afad4520237cd7e0f628a6763a53dba1af6d7b9a1bfe5dc11bb8f343e5b33d77",
+    ),
+    ("involution", 7): (
+        "8001cb3080add57d",
+        "97cc87d8fc0cceab4eb9ca03f1136aac7a384826d4eda520fceff7d7c65f49d7",
+        "ad4d6ad1f3f6eea733089b26c690bcb593eed13ebbbd6d2c2ab6d6eb729ed53b",
+    ),
+    ("blocks", 7): (
+        "cc4a5bd2a8e81820",
+        "8f8708ed5407ca322dbd202ebcb08b23cf1ae7c3adf75fc819bbdfacb1ffa3a4",
+        "5ca730e905983d30232818d009d602b1a580226a148b409521c871bbb618e3d7",
+    ),
+}
+
+
+class TestPinned:
+    """Every circuit byte the pipeline writes for fixed inputs. A change
+    meant to make the pipeline faster must leave these hashes alone."""
+
+    @pytest.mark.parametrize("name, n", sorted(PINNED))
+    def test_circuit_text_and_counts(self, name, n):
+        input_digest, text_digest, counts_digest = PINNED[name, n]
+        h = pinned_input(name, n)
+        assert sha256(h.tobytes())[:16] == input_digest, "the input itself changed"
+        circuit, _ = synthesize(h)
+        assert sha256(serialize(circuit).encode()) == text_digest
+        assert sha256(repr(sorted(counts(circuit).items())).encode()) == counts_digest
+
+
+def synthesized_text(n: int, seed: int) -> str:
+    h = random_hermitian_unitary(np.random.default_rng(seed), 1 << n)
+    return serialize(synthesize(h)[0])
+
+
+class TestDeterminism:
+    """``emit_two_level`` shares control tuples and X gates through
+    process-global caches; no circuit byte may depend on what they hold."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        between=st.lists(st.integers(1, 4), max_size=3),
+    )
+    def test_cold_and_warm_caches(self, n, seed, between):
+        twolevel._controls.cache_clear()
+        twolevel._full_x.cache_clear()
+        cold = synthesized_text(n, seed)
+        for k, m in enumerate(between):
+            synthesized_text(m, seed + 1 + k)
+        assert synthesized_text(n, seed) == cold
+
+    def test_hash_seed(self):
+        script = (
+            "import hashlib\n"
+            "from test_pipeline import synthesized_text\n"
+            "for n in (2, 3, 4):\n"
+            "    print(hashlib.sha256(synthesized_text(n, 70 + n).encode()).hexdigest())\n"
+        )
+        path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(proc.stdout)
+        here = "".join(
+            hashlib.sha256(synthesized_text(n, 70 + n).encode()).hexdigest() + "\n"
+            for n in (2, 3, 4)
+        )
+        assert outputs[0] == outputs[1] == here

@@ -191,6 +191,13 @@ class TestSynthesize:
         assert len(report.sweep_rotations) == report.sweeps
         assert sum(report.sweep_rotations) == report.rotations_executed
 
+    def test_report_sweep_residuals(self):
+        h = random_hermitian_unitary(RNG, 16)
+        _, report = synthesize(h)
+        assert report.sweep_residuals == diagonalize(h).sweep_residuals
+        assert len(report.sweep_residuals) == report.sweeps
+        assert report.sweep_residuals[-1] == report.residual_offnorm
+
     def test_deterministic_text(self):
         # the same matrix always gives byte-identical circuit text
         for n in (1, 2, 3, 4):
