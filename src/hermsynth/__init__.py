@@ -57,7 +57,6 @@ from .matrices import (
 from .optimize import (
     OptLevel,
     cancel_adjacent_inverses,
-    optimize,
     rewrite_cz_cnot,
     strip_conjugate_controls,
 )

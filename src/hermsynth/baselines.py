@@ -50,9 +50,9 @@ def h2_params(u) -> H2Params:
     m = as_matrix(u)
     if m.shape != (2, 2):
         raise NotHermitianUnitary(f"expected a 2x2 matrix, got {m.shape}")
-    if not is_hermitian(m, tol.hermitian_tol):
+    if not is_hermitian(m):
         raise NotHermitianUnitary("matrix is not Hermitian")
-    if not is_unitary(m, tol.unitary_tol):
+    if not is_unitary(m):
         raise NotHermitianUnitary("matrix is not unitary")
     eye = np.eye(2)
     if np.max(np.abs(m - eye)) <= tol.sign_tol:

@@ -65,15 +65,14 @@ class JacobiResult:
     sweep_residuals: tuple[float, ...]  # off_norm after each sweep; the last is ``residual``
 
 
-def rotation_params(
-    app: float, aqq: float, apq: complex, zero_tol: float = DEFAULT_TOLERANCES.zero_tol
-) -> tuple[float, float, bool]:
+def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float, bool]:
     """Angles (theta, alpha) that zero the pivot, plus whether a phase is needed.
 
     For a real pivot, tan(theta) = -2*apq / (app - aqq) with the signed value
     and no phase factor. For a complex pivot, tan(theta) = -2*|apq| /
     (app - aqq) and alpha = arg(apq). Theta is folded into [-pi/2, pi/2].
     """
+    zero_tol = DEFAULT_TOLERANCES.zero_tol
     apq = complex(apq)
     magnitude = abs(apq)
     if magnitude <= zero_tol:
@@ -123,10 +122,9 @@ def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     m[q, q] = m[q, q].real
 
 
-def snap_signs(
-    diag_entries, sign_tol: float = DEFAULT_TOLERANCES.sign_tol
-) -> tuple[int, ...]:
-    """Map converged diagonal entries to exact +/-1."""
+def snap_signs(diag_entries) -> tuple[int, ...]:
+    """Map converged diagonal entries to exact +/-1, within sign_tol."""
+    sign_tol = DEFAULT_TOLERANCES.sign_tol
     signs = []
     for index, value in enumerate(diag_entries):
         z = complex(value)
@@ -161,9 +159,9 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     dim = m.shape[0]
     if dim < 2 or dim & (dim - 1):
         raise BadDimension(f"need a power-of-two dim >= 2, got {dim}")
-    if not is_hermitian(m, tol.hermitian_tol):
+    if not is_hermitian(m):
         raise NotHermitian(f"input deviates from its adjoint by more than {tol.hermitian_tol}")
-    if not is_unitary(m, tol.unitary_tol):
+    if not is_unitary(m):
         raise NotUnitary(f"input deviates from unitarity by more than {tol.unitary_tol}")
 
     work = m.copy()
@@ -187,7 +185,7 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
                     break
                 q += 1 + k
                 theta, alpha, has_phase = rotation_params(
-                    work[p, p].real, work[q, q].real, complex(work[p, q]), zero_tol
+                    work[p, p].real, work[q, q].real, complex(work[p, q])
                 )
                 step = RotationStep(p, q, theta, alpha, has_phase)
                 _rotate_inplace(work, step, zero_tol)
@@ -200,7 +198,7 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
             break
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
-    signs = snap_signs(np.diagonal(work), tol.sign_tol)
+    signs = snap_signs(np.diagonal(work))
     return JacobiResult(
         tuple(steps), signs, sweeps, residual, tuple(per_sweep), tuple(residuals)
     )

@@ -46,15 +46,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOLERANCES.hermitian_tol) -> bool:
+def is_hermitian(a) -> bool:
     m = as_matrix(a)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return float(np.max(np.abs(m - m.conj().T))) <= DEFAULT_TOLERANCES.hermitian_tol
 
 
-def is_unitary(a, tol: float = DEFAULT_TOLERANCES.unitary_tol) -> bool:
+def is_unitary(a) -> bool:
     m = as_matrix(a)
     product = m @ m.conj().T
-    return float(np.max(np.abs(product - np.eye(m.shape[0])))) <= tol
+    return float(np.max(np.abs(product - np.eye(m.shape[0])))) <= DEFAULT_TOLERANCES.unitary_tol
 
 
 def off_norm(a) -> float:

@@ -5,19 +5,18 @@ never touches the global phase. Rules are deliberately conservative: they
 only match structurally (literal adjacency, identical target and control
 tuples), which is sufficient for the shapes the synthesizer emits.
 
-The strip pass tests a 2x2 payload product for the identity only where it
-might be one. Before building the product it applies an exact rejection
-test (``_cannot_cancel``), which skips a run only when the product provably
-fails the identity test; on dense inputs nearly every run is skipped this
-way, since none of them strips.
+The strip pass is structural too and reads no tolerance: it removes the
+controls of a conjugate pair B ... A around a controlled diagonal block
+only when A is literally ``invert_gates(B)``. On seeded dense, sparse,
+controlled-U and Kronecker inputs, a numeric test of the 2x2 product A.B
+for the identity stripped exactly the runs this one strips.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, gate_entries
+from .circuit import Circuit, Gate, GateKind, invert_gates
 from .matrices import HALF_PI
 
 
@@ -62,109 +61,32 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
 
-def _payload_product(gates) -> tuple[complex, complex, complex, complex]:
-    """2x2 product of a time-ordered gate sequence on a shared target."""
-    a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    for g in gates:
-        e, f, gg, h = gate_entries(g.kind, g.param)
-        a, b, c, d = e * a + f * c, e * b + f * d, gg * a + h * c, gg * b + h * d
-    return a, b, c, d
-
-
-# Well below the 1e-12 matrix-preservation budget but far above the roundoff
-# of exact inverse pairs (~1e-15), so a strip never moves the simulation.
-_IDENTITY_EPS = 1e-13
-
-
-def _is_identity_2x2(m: tuple[complex, complex, complex, complex]) -> bool:
-    a, b, c, d = m
-    return (
-        abs(a - 1.0) <= _IDENTITY_EPS
-        and abs(b) <= _IDENTITY_EPS
-        and abs(c) <= _IDENTITY_EPS
-        and abs(d - 1.0) <= _IDENTITY_EPS
-    )
-
-
-def _mul_2x2(left, right):
-    a, b, c, d = left
-    e, f, g, h = right
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-# A run whose only RY has an off-diagonal modulus above this is never the
-# identity: ten times _IDENTITY_EPS leaves room for the product's roundoff.
-_RY_EPS = 1e-12
-
-
-def _cannot_cancel(gates) -> bool:
-    """True only if the payload product of ``gates``, in any order, provably
-    fails ``_is_identity_2x2``; False means the product must be built.
-
-    X and Y are antidiagonal and Z, S, SDG, PHASE and RZ diagonal, each with
-    unit-modulus nonzero entries, so a product of these kinds is diagonal or
-    antidiagonal. In floating point too: where one factor of a 2x2 product
-    is such a matrix, every entry of the product is one term plus a finite
-    number times an exact 0, so structural zeros stay exact. So:
-
-    - With no RY or H and an odd number of X and Y, the product has exact
-      zeros on its diagonal, so ``|a - 1| = 1``: not the identity.
-    - With one RY(t) and no H, the product is M1 RY M2 for such products M1
-      and M2. An even number of X and Y leaves the off-diagonal entries at
-      sin(t/2), an odd number at cos(t/2), each times unit-modulus factors.
-      Each factor adds a few ulp of relative error, so an off-diagonal
-      modulus above _RY_EPS stays above _IDENTITY_EPS (a run would need
-      some 10^14 gates to lose that factor of ten): not the identity.
-
-    Any other run (an H, two RYs, or a modulus at most _RY_EPS, as for RY
-    angles near a multiple of 2 pi, or of pi with an odd X/Y count) gets
-    the full product test.
-    """
-    odd = False
-    ry = None
-    for g in gates:
-        kind = g.kind
-        if kind.diagonal:
-            continue
-        if kind is GateKind.X or kind is GateKind.Y:
-            odd = not odd
-        elif kind is GateKind.RY and ry is None:
-            ry = g.param
-        else:  # H, or a second RY
-            return False
-    if ry is None:
-        return odd
-    half = ry / 2.0  # as gate_entries computes it, so the moduli match
-    return abs(math.cos(half) if odd else math.sin(half)) > _RY_EPS
-
-
 def _strip_run(run: tuple[Gate, ...]) -> list[Gate] | None:
     """Strip the controls of one conjugate pair around a controlled diagonal.
 
     ``run`` is a contiguous window with identical nonempty controls and
-    target. For each maximal block of diagonal kinds taken as the pivot,
-    the surrounding payloads A (after) and B (before) are tested for
-    A.B = I on the target; if so their controls are redundant, since
-    control-off states see A.B = I either way. A block whose payloads
-    ``_cannot_cancel`` proves unequal to I is skipped without a product.
+    target. For each maximal block of diagonal kinds, in order, the gates
+    after it are tested for being ``invert_gates`` of the gates before it,
+    literally: same length first, then gate for gate. The first block that
+    passes wins. Its payloads lose their controls, since control-off states
+    then see A.B = I exactly: ``invert_gate`` negates angles and swaps S and
+    SDG, so each 2x2 factor meets its exact inverse.
     """
+    count = len(run)
     k = 0
-    while k < len(run):
+    while k < count:
         if not run[k].kind.diagonal:
             k += 1
             continue
         lo = k
-        while k < len(run) and run[k].kind.diagonal:
+        while k < count and run[k].kind.diagonal:
             k += 1
         hi = k  # run[lo:hi] is diagonal
-        before, after = run[:lo], run[hi:]
-        if not before and not after or _cannot_cancel(before + after):
-            continue
-        if _is_identity_2x2(_mul_2x2(_payload_product(after), _payload_product(before))):
+        if lo and lo == count - hi and run[hi:] == invert_gates(run[:lo]):
             return (
-                [Gate(g.kind, g.target, (), g.param) for g in before]
+                [Gate(g.kind, g.target, (), g.param) for g in run[:lo]]
                 + list(run[lo:hi])
-                + [Gate(g.kind, g.target, (), g.param) for g in after]
+                + [Gate(g.kind, g.target, (), g.param) for g in run[hi:]]
             )
     return None
 
@@ -174,10 +96,10 @@ def strip_conjugate_controls(circuit: Circuit) -> Circuit:
 
     Runs of neighbouring gates on one site (target and controls) are found
     in place; a run of one gate, or of uncontrolled gates, is kept as it is.
-    Each longer run goes to ``_strip_run``, which skips, without building a
-    product, every diagonal block whose payloads ``_cannot_cancel`` proves
-    unequal to I. That test is exact, so the pass returns the same gates as
-    testing every block's product.
+    Each longer run goes to ``_strip_run``, which strips B D A to
+    B' D A' (primes: uncontrolled) when D is a maximal diagonal block and
+    A is literally ``invert_gates(B)``. Most runs fail its first test, an
+    integer compare of the two sides' lengths.
     """
     gates = circuit.gates
     count = len(gates)

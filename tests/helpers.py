@@ -19,7 +19,6 @@ from hermsynth.jacobi import (
     snap_signs,
 )
 from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
-from hermsynth.optimize import _is_identity_2x2, _mul_2x2, _payload_product
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -142,7 +141,7 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
             if abs(work[p, q]) <= tol.zero_tol:
                 continue
             theta, alpha, has_phase = rotation_params(
-                work[p, p].real, work[q, q].real, complex(work[p, q]), tol.zero_tol
+                work[p, p].real, work[q, q].real, complex(work[p, q])
             )
             step = RotationStep(p, q, theta, alpha, has_phase)
             _rotate_inplace(work, step, tol.zero_tol)
@@ -155,7 +154,7 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
             break
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
-    signs = snap_signs(np.diagonal(work), tol.sign_tol)
+    signs = snap_signs(np.diagonal(work))
     return JacobiResult(
         tuple(steps), signs, sweeps, residual, tuple(per_sweep), tuple(residuals)
     )
@@ -222,9 +221,43 @@ def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
 # --- reference for the strip pass ---------------------------------------------
 
 
-def strip_run_unfiltered(run: list[Gate]) -> list[Gate] | None:
-    """``optimize._strip_run`` without its rejection test: every diagonal
-    block's payload product is built and tested for the identity."""
+def payload_product(gates) -> tuple[complex, complex, complex, complex]:
+    """2x2 product of a time-ordered gate sequence on a shared target."""
+    a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    for g in gates:
+        e, f, gg, h = gate_entries(g.kind, g.param)
+        a, b, c, d = e * a + f * c, e * b + f * d, gg * a + h * c, gg * b + h * d
+    return a, b, c, d
+
+
+def mul_2x2(left, right):
+    a, b, c, d = left
+    e, f, g, h = right
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+# Well below the 1e-12 matrix-preservation budget but far above the roundoff
+# of exact inverse pairs (~1e-15), so a strip never moves the simulation.
+IDENTITY_EPS = 1e-13
+
+
+def is_identity_2x2(m: tuple[complex, complex, complex, complex]) -> bool:
+    a, b, c, d = m
+    return (
+        abs(a - 1.0) <= IDENTITY_EPS
+        and abs(b) <= IDENTITY_EPS
+        and abs(c) <= IDENTITY_EPS
+        and abs(d - 1.0) <= IDENTITY_EPS
+    )
+
+
+def strip_run_numeric(run: list[Gate]) -> list[Gate] | None:
+    """A numeric strip rule, the reference ``optimize._strip_run`` must match
+    on synthesized circuits: for each diagonal block in turn, the payload
+    product A.B of the gates after (A) and before (B) it is built, and the
+    first block where it is the identity to IDENTITY_EPS has its payloads'
+    controls removed. It also strips runs that are an inverse pair only
+    numerically, which ``_strip_run`` keeps."""
     k = 0
     while k < len(run):
         if not run[k].kind.diagonal:
@@ -237,7 +270,7 @@ def strip_run_unfiltered(run: list[Gate]) -> list[Gate] | None:
         before, after = run[:lo], run[hi:]
         if not before and not after:
             continue
-        if _is_identity_2x2(_mul_2x2(_payload_product(after), _payload_product(before))):
+        if is_identity_2x2(mul_2x2(payload_product(after), payload_product(before))):
             return (
                 [replace(g, controls=()) for g in before]
                 + run[lo:hi]
@@ -246,12 +279,12 @@ def strip_run_unfiltered(run: list[Gate]) -> list[Gate] | None:
     return None
 
 
-def strip_conjugate_controls_unfiltered(circuit: Circuit) -> Circuit:
-    """``optimize.strip_conjugate_controls`` with ``strip_run_unfiltered``
+def strip_conjugate_controls_numeric(circuit: Circuit) -> Circuit:
+    """``optimize.strip_conjugate_controls`` with ``strip_run_numeric``
     on every same-site run of more than one controlled gate."""
     out: list[Gate] = []
     for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
         run = list(run)
-        stripped = strip_run_unfiltered(run) if controls and len(run) > 1 else None
+        stripped = strip_run_numeric(run) if controls and len(run) > 1 else None
         out.extend(stripped or run)
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)

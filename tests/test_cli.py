@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
 from hermsynth import twolevel
-from hermsynth.circuit import Circuit, counts, load_circuit, save_circuit, serialize
+from hermsynth.circuit import Circuit, Gate, GateKind, counts, load_circuit, save_circuit, serialize
 from hermsynth.cli import main
 from hermsynth.jacobi import diagonalize
-from hermsynth.matrices import load_matrix, parse_matrix, save_matrix
+from hermsynth.matrices import format_matrix, load_matrix, parse_matrix, save_matrix
 
 RNG = np.random.default_rng(777)
 
@@ -348,3 +351,100 @@ class TestEndToEnd:
             main(["--help"])
         assert exc.value.code == 0
         assert "exit codes" in capsys.readouterr().out
+
+
+# --- generated malformed files ------------------------------------------------
+
+VALID_MATRIX = format_matrix(CH_EMBED).splitlines()
+VALID_CIRCUIT = serialize(
+    Circuit(
+        2,
+        (
+            Gate(GateKind.RY, 1, ((0, True),), 0.3),
+            Gate(GateKind.Z, 1, ((0, False),)),
+            Gate(GateKind.H, 0),
+            Gate(GateKind.PHASE, 0, ((1, True),), -1.25),
+        ),
+        global_phase=-1.0,
+    )
+).splitlines()
+HEADERS = {"matrix": 1, "circuit": 2}  # leading header lines of each format
+
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
+QUBIT = re.compile(r"(?<=target=)\d+|(?<=controls=[+-])\d+|(?<=,[+-])\d+")
+
+
+def replace_span(draw, pattern, line, replacement):
+    start, end = draw(st.sampled_from([m.span() for m in pattern.finditer(line)]))
+    return line[:start] + replacement + line[end:]
+
+
+def mutate(draw, form, lines):
+    """``lines`` with one drawn mutation at a drawn line; each leaves the
+    file malformed."""
+    lines = list(lines)
+    headers = HEADERS[form]
+    mutation = draw(st.sampled_from(
+        ["word", "nonfinite", "missing", "duplicate_header", "qubit", "short_row"]
+    ))
+    if mutation == "duplicate_header":
+        header = lines[draw(st.integers(0, headers - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), header)
+        return lines
+    if mutation == "qubit" and form == "matrix":  # the register size is the dimension
+        lines[0] = f"dim {draw(st.sampled_from([-4, -1, 0, 2, 8]))}"
+        return lines
+    i = draw(st.integers(headers if mutation == "qubit" else 0, len(lines) - 1))
+    line = lines[i]
+    tokens = line.split()
+    if mutation == "word":
+        line = replace_span(draw, NUMBER, line, "abc")
+    elif mutation == "nonfinite":
+        line = replace_span(draw, NUMBER, line, draw(st.sampled_from(["nan", "inf", "-inf"])))
+    elif mutation == "missing":
+        if i < headers:  # the header's value
+            line = tokens[0]
+        elif form == "matrix":  # the imaginary part of one entry
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = tokens[j].split(",")[0]
+            line = " ".join(tokens)
+        else:  # a required key
+            key = draw(st.sampled_from(["target", "params"]))
+            line = " ".join(t for t in tokens if t.partition("=")[0] != key)
+    elif mutation == "qubit":
+        value = draw(st.sampled_from([-1, -3, 2, 7]))
+        line = replace_span(draw, QUBIT, line, str(value))
+    else:  # short_row
+        line = " ".join(tokens[:-1])
+    lines[i] = line
+    return lines
+
+
+class TestMalformedFiles:
+    def files(self, directory, matrix_lines, circuit_lines):
+        matrix, circuit = directory / "m.txt", directory / "c.circ"
+        matrix.write_text("\n".join(matrix_lines) + "\n")
+        circuit.write_text("\n".join(circuit_lines) + "\n")
+        return str(matrix), str(circuit)
+
+    def test_valid_files_parse(self, tmp_path):
+        matrix, circuit = self.files(tmp_path, VALID_MATRIX, VALID_CIRCUIT)
+        assert main(["synth", matrix]) == 0
+        assert main(["counts", circuit]) == 0
+        assert main(["verify", matrix, circuit]) == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exit_2(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("malformed")
+        if data.draw(st.booleans(), label="mutate the matrix file"):
+            matrix, circuit = self.files(
+                directory, mutate(data.draw, "matrix", VALID_MATRIX), VALID_CIRCUIT
+            )
+            assert main(["synth", matrix]) == 2
+        else:
+            matrix, circuit = self.files(
+                directory, VALID_MATRIX, mutate(data.draw, "circuit", VALID_CIRCUIT)
+            )
+            assert main(["counts", circuit]) == 2
+        assert main(["verify", matrix, circuit]) == 2

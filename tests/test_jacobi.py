@@ -91,7 +91,7 @@ class TestApplyRotation:
         p, q = 2, 5
         theta, alpha, hp = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
         out = apply_rotation(h, RotationStep(p, q, theta, alpha, hp))
-        assert is_hermitian(out, 1e-10) and is_unitary(out, 1e-10)
+        assert is_hermitian(out) and is_unitary(out)
         assert abs(out[p, q]) <= 1e-12
 
     def test_off_norm_drop(self):
