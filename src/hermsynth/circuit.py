@@ -7,20 +7,14 @@ elsewhere.
 Matrix semantics: the LAST gate in time is the LEFTMOST matrix factor, so
 ``simulate`` left-multiplies gate embeddings in list order.
 
-A gate with n-1 controls is a two-level unitary: it touches only row i (the
-control bits, target bit 0) and row j = i | target bit. ``simulate`` keeps a
-pending row permutation ``perm``, with row r of the running product stored at
-``m[perm[r]]``. An X swaps ``perm[i]`` and ``perm[j]`` and moves no data; a
-diagonal gate with u00 = 1 scales row j alone; any other gate updates the two
-rows by its 2x2 matrix. Every other gate first applies the permutation, then
-takes the general path: the 2^n x 2^n matrix is viewed as a (2,)*n + (2^n,)
-tensor whose axis q is qubit q (axis 0 is the most significant row bit, the
-last axis the column), every control axis is fixed to its polarity by basic
-slicing, and the target's 0 and 1 slices are updated together by the gate's
-2x2 matrix, except that a diagonal gate with u00 = 1 (Z, S, SDG, PHASE)
-scales the target's 1 slice alone. Both paths do the same arithmetic on
-every entry they change, less terms that are exactly zero, so they agree
-bit for bit up to the sign of a zero.
+Every gate is one 2x2 block applied to the row pairs (i, j) its controls
+select: row i has the control bits and target bit 0, and j = i | target bit.
+``simulate`` reads rows through one pending row permutation ``perm``, with
+row r of the running product stored at ``m[perm[r]]``. An X swaps
+``perm[i]`` and ``perm[j]`` and moves no data; a diagonal gate with u00 = 1
+(Z, S, SDG, PHASE) scales rows ``perm[j]`` alone; any other gate updates
+both rows by its 2x2 matrix. A gate with n-1 controls has one pair, any
+other gate 2^(n-1-k) pairs for its k controls.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -167,62 +162,57 @@ def _check_indices(gate: Gate, n: int) -> None:
             raise IndexOutOfRange(f"control {q} outside {n}-qubit register")
 
 
-def _apply_gate(t: np.ndarray, gate: Gate) -> None:
-    """In-place left-multiplication by the gate's embedding of a matrix
-    viewed as a (2,)*n + (2^n,) tensor, qubit q on axis q."""
-    u00, u01, u10, u11 = gate_entries(gate.kind, gate.param)
-    index = [slice(None)] * t.ndim
-    for q, positive in gate.controls:
-        index[q] = int(positive)  # an int, since numpy reads a bool as a mask
-    index[gate.target] = 1
-    b = t[tuple(index)]
-    if gate.kind.diagonal and u00 == 1:
-        b[...] = u11 * b  # out of place: ``*=`` rounds differently
-        return
-    index[gate.target] = 0
-    a = t[tuple(index)]
-    new_a = u00 * a + u01 * b
-    b[...] = u10 * a + u11 * b
-    a[...] = new_a
+@cache
+def _row_pairs(target: int, controls: tuple[tuple[int, bool], ...], n: int):
+    """Row pairs (i, j) of a gate: i has the control bits and target bit 0,
+    j = i | target bit. With n-1 controls they are ints, so the rows they
+    pick are views; with k < n-1 controls, ascending index arrays of
+    2^(n-1-k) pairs.
+
+    The memo holds one entry per site (target, controls, n) a circuit names.
+    Over every target and signed control set, the index arrays at one n
+    total at most 4n * 4^n bytes, n/4 of the dense matrix.
+    """
+    full = n - 1
+    i = 0
+    for q, positive in controls:
+        if positive:
+            i |= 1 << (full - q)
+    bit = 1 << (full - target)
+    if len(controls) == full:
+        return i, i | bit
+    rows = np.array([i])
+    named = {target, *(q for q, _ in controls)}
+    for q in reversed(range(n)):
+        if q not in named:
+            rows = np.concatenate((rows, rows | 1 << (full - q)))
+    return rows, rows | bit
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the whole circuit, including its global phase."""
+    """Dense matrix of the whole circuit, including its global phase, by the
+    row-pair rule of the module docstring."""
+    x = GateKind.X  # an Enum member lookup costs about as much as a swap
     n = circuit.n_qubits
-    dim, full = 1 << n, n - 1
-    m = np.eye(dim, dtype=complex)
-    perm = list(range(dim))  # row r of the running product is m[perm[r]]
-    moved = False
+    m = np.eye(1 << n, dtype=complex)
+    perm = np.arange(1 << n)  # row r of the running product is m[perm[r]]
     for gate in circuit.gates:
-        if len(gate.controls) != full:
-            if moved:
-                m = m[perm]
-                perm = list(range(dim))
-                moved = False
-            _apply_gate(m.reshape((2,) * n + (dim,)), gate)
-            continue
-        i = 0
-        for q, positive in gate.controls:
-            if positive:
-                i |= 1 << (full - q)
-        j = i | 1 << (full - gate.target)
+        i, j = _row_pairs(gate.target, gate.controls, n)
         kind = gate.kind
-        if kind is GateKind.X:
+        if kind is x:
             perm[i], perm[j] = perm[j], perm[i]
-            moved = True
             continue
         u00, u01, u10, u11 = gate_entries(kind, gate.param)
-        b = m[perm[j]]
+        pj = perm[j]
         if kind.diagonal and u00 == 1:
-            b[...] = u11 * b  # out of place: ``*=`` rounds differently
+            m[pj] = u11 * m[pj]  # out of place: ``*=`` rounds differently
             continue
-        a = m[perm[i]]
+        pi = perm[i]
+        a, b = m[pi], m[pj]
         new_a = u00 * a + u01 * b
-        b[...] = u10 * a + u11 * b
-        a[...] = new_a
-    if moved:
-        m = m[perm]
-    return circuit.global_phase * m
+        m[pj] = u10 * a + u11 * b
+        m[pi] = new_a
+    return circuit.global_phase * m[perm]
 
 
 def invert_gate(gate: Gate) -> Gate:

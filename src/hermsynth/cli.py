@@ -1,8 +1,8 @@
 """Command-line front end for the synthesis pipeline.
 
 Exit codes: 0 success, 2 parse/file error, 3 precondition violation
-(not Hermitian, not unitary, bad dimension, +/-I input), 4 no convergence,
-5 verification failure.
+(not Hermitian, not unitary, bad dimension, +/-I input, too large to
+simulate densely), 4 no convergence, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ _EPILOG = """\
 exit codes:
   0  success
   2  unreadable or malformed input file
-  3  precondition violation (not Hermitian, not unitary, bad dimension, +/-I)
+  3  precondition violation (not Hermitian, not unitary, bad dimension, +/-I,
+     too large to simulate densely)
   4  no convergence within the sweep limit
   5  verification failure
 """
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
         return _EXIT_VERIFICATION
     except (ValueError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_PRECONDITION
+    except MemoryError:
+        print("error: too large to simulate densely", file=sys.stderr)
         return _EXIT_PRECONDITION
 
 

@@ -38,15 +38,14 @@ from .matrices import (
 class RotationStep:
     """One elimination: zero entry (p, q) with angles (theta, alpha).
 
-    ``has_phase`` records whether the pivot entry was genuinely complex; real
-    pivots need no phase factor and use the signed real angle formula.
+    ``alpha`` is 0.0 exactly when the pivot entry was real: a real pivot needs
+    no phase factor and uses the signed real angle formula.
     """
 
     p: int
     q: int
     theta: float
     alpha: float
-    has_phase: bool
 
     def __post_init__(self):
         if not (0 <= self.p < self.q):
@@ -65,12 +64,13 @@ class JacobiResult:
     sweep_residuals: tuple[float, ...]  # off_norm after each sweep; the last is ``residual``
 
 
-def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float, bool]:
-    """Angles (theta, alpha) that zero the pivot, plus whether a phase is needed.
+def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float]:
+    """Angles (theta, alpha) that zero the pivot.
 
     For a real pivot, tan(theta) = -2*apq / (app - aqq) with the signed value
-    and no phase factor. For a complex pivot, tan(theta) = -2*|apq| /
-    (app - aqq) and alpha = arg(apq). Theta is folded into [-pi/2, pi/2].
+    and alpha = 0.0, no phase factor. For a complex pivot, tan(theta) =
+    -2*|apq| / (app - aqq) and alpha = arg(apq), which is never 0 since
+    |imag(apq)| > zero_tol. Theta is folded into [-pi/2, pi/2].
     """
     zero_tol = DEFAULT_TOLERANCES.zero_tol
     apq = complex(apq)
@@ -80,17 +80,15 @@ def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float,
     if abs(apq.imag) <= zero_tol:
         numerator = -2.0 * apq.real
         alpha = 0.0
-        has_phase = False
     else:
         numerator = -2.0 * magnitude
         alpha = math.atan2(apq.imag, apq.real)
-        has_phase = True
     theta = math.atan2(numerator, app - aqq)
     if theta < -HALF_PI:
         theta += math.pi
     elif theta > HALF_PI:
         theta -= math.pi
-    return theta, alpha, has_phase
+    return theta, alpha
 
 
 def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
@@ -98,7 +96,7 @@ def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     p, q = step.p, step.q
     c = math.cos(step.theta / 2.0)
     s = math.sin(step.theta / 2.0)
-    e = cmath.exp(-1j * step.alpha) if step.has_phase else 1.0
+    e = cmath.exp(-1j * step.alpha) if step.alpha else 1.0
 
     # columns of Q': (c, -e s) and (s, e c)
     colp = m[:, p].copy()
@@ -106,7 +104,7 @@ def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     m[:, p] = c * colp - (e * s) * colq
     m[:, q] = s * colp + (e * c) * colq
     # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
-    ec = e.conjugate() if step.has_phase else 1.0
+    ec = e.conjugate()
     rowp = m[p, :].copy()
     rowq = m[q, :].copy()
     m[p, :] = c * rowp - (ec * s) * rowq
@@ -184,10 +182,10 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
                 if not above[k]:
                     break
                 q += 1 + k
-                theta, alpha, has_phase = rotation_params(
+                theta, alpha = rotation_params(
                     work[p, p].real, work[q, q].real, complex(work[p, q])
                 )
-                step = RotationStep(p, q, theta, alpha, has_phase)
+                step = RotationStep(p, q, theta, alpha)
                 _rotate_inplace(work, step, zero_tol)
                 steps.append(step)
                 executed += 1

@@ -76,8 +76,6 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     is safe, and it was validated once when it was built. The two caches
     hold at most n * 2^n entries each per qubit count.
     """
-    if step.q >= 1 << n:
-        raise IndexOutOfRange(f"step ({step.p}, {step.q}) outside {n} qubits")
     states = gray_path(step.p, step.q, n)
     flips = [n - 1 - ((a ^ b).bit_length() - 1) for a, b in zip(states, states[1:])]
     ladder = tuple(_full_x(s, qb, n) for s, qb in zip(states, flips[:-1]))
@@ -85,12 +83,12 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     controls = _controls(step.q, i, n)
     if (step.q >> (n - 1 - i)) & 1:
         core = (Gate(GateKind.RY, i, controls, step.theta),)
-        if step.has_phase:
+        if step.alpha:
             core += (Gate(GateKind.PHASE, i, controls, -step.alpha),)
     else:
         # swapped orientation: the ladder parked |p> on the pivot-1 state
         core = (Gate(GateKind.RY, i, controls, -step.theta),)
-        if step.has_phase:
+        if step.alpha:
             flip = _full_x(step.q, i, n)
             core += (flip, Gate(GateKind.PHASE, i, controls, -step.alpha), flip)
     return ladder + core + ladder[::-1]

@@ -140,10 +140,10 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
         for p, q in ordering_row_major(dim):
             if abs(work[p, q]) <= tol.zero_tol:
                 continue
-            theta, alpha, has_phase = rotation_params(
+            theta, alpha = rotation_params(
                 work[p, p].real, work[q, q].real, complex(work[p, q])
             )
-            step = RotationStep(p, q, theta, alpha, has_phase)
+            step = RotationStep(p, q, theta, alpha)
             _rotate_inplace(work, step, tol.zero_tol)
             steps.append(step)
             executed += 1
@@ -180,7 +180,7 @@ def step_factors(step: RotationStep, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if step.q >= dim:
         raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {dim}")
     r = np.eye(dim, dtype=complex)
-    if step.has_phase:
+    if step.alpha:
         r[step.q, step.q] = cmath.exp(-1j * step.alpha)
     g = np.eye(dim, dtype=complex)
     c = math.cos(step.theta / 2.0)

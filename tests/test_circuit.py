@@ -16,11 +16,11 @@ from helpers import (
     apply_gate_full,
     random_circuit,
 )
+from hermsynth import circuit as circuit_module
 from hermsynth.circuit import (
     Circuit,
     Gate,
     GateKind,
-    _apply_gate,
     counts,
     gate_matrix,
     invert_gates,
@@ -224,13 +224,13 @@ class TestSimulate:
         assert np.array_equal(simulate(inv) @ simulate(c), np.eye(2))
 
 
-def tensor_reference(circuit: Circuit) -> np.ndarray:
-    """``_apply_gate`` for every gate on the (2,)*n + (2^n,) tensor view,
-    with no two-row path and no row permutation."""
+def full_update_reference(circuit: Circuit) -> np.ndarray:
+    """Every gate, X and the diagonal kinds included, applied by the full
+    2x2 update on the (2,)*n + (2^n,) tensor view, with no row permutation."""
     n = circuit.n_qubits
     m = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
-        _apply_gate(m.reshape((2,) * n + (1 << n,)), gate)
+        apply_gate_full(m.reshape((2,) * n + (1 << n,)), gate)
     return circuit.global_phase * m
 
 
@@ -273,7 +273,7 @@ def full_control_circuit(rng, n, n_gates, partial_share, end_on_x=False):
 
 @st.composite
 def two_row_circuits(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     everyone = (1 << n) - 1
     gates = []
     for _ in range(draw(st.integers(0, 30))):
@@ -288,9 +288,10 @@ def two_row_circuits(draw):
 
 
 class TestTwoRowSimulate:
-    """Gates with n-1 controls act on two rows of the running product and X
-    only moves a pending row permutation; the result must equal the per-gate
-    tensor slicing entry for entry."""
+    """Every gate acts on its row pairs through one pending row permutation,
+    one pair with n-1 controls and 2^(n-1-k) with k, and every X only moves
+    the permutation; the result must equal the full 2x2 update of every gate
+    entry for entry."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("partial_share", [0.0, 0.3])
@@ -298,7 +299,7 @@ class TestTwoRowSimulate:
         rng = np.random.default_rng(2000 + 10 * n + int(10 * partial_share))
         for end_on_x in (False, True):
             c = full_control_circuit(rng, n, 40, partial_share, end_on_x)
-            assert np.array_equal(simulate(c), tensor_reference(c))
+            assert np.array_equal(simulate(c), full_update_reference(c))
             expected = np.eye(1 << n)
             for gate in c.gates:
                 expected = kron_embedding(gate, n) @ expected
@@ -310,11 +311,11 @@ class TestTwoRowSimulate:
         assert all(len(g.controls) == 3 for g in c.gates)
 
     def test_permutation_applied_before_fewer_controls(self):
-        # the swap of rows 110 and 111 is pending when the H arrives
+        # the swap of rows 110 and 111 is pending when the H reads its pairs
         swap = Gate(GateKind.X, 2, ((0, True), (1, True)))
         h = Gate(GateKind.H, 0)
         c = Circuit(3, (swap, h, swap))
-        assert np.array_equal(simulate(c), tensor_reference(c))
+        assert np.array_equal(simulate(c), full_update_reference(c))
         swap_m, h_m = (simulate(Circuit(3, (g,))) for g in (swap, h))
         assert np.array_equal(simulate(c), swap_m @ h_m @ swap_m)
 
@@ -328,22 +329,13 @@ class TestTwoRowSimulate:
     @settings(max_examples=60, deadline=None)
     @given(two_row_circuits())
     def test_property_matches_per_gate_reference(self, c):
-        assert np.array_equal(simulate(c), tensor_reference(c))
-
-
-def full_update_reference(circuit: Circuit) -> np.ndarray:
-    """Every gate applied by the full 2x2 update on the tensor view."""
-    n = circuit.n_qubits
-    m = np.eye(1 << n, dtype=complex)
-    for gate in circuit.gates:
-        apply_gate_full(m.reshape((2,) * n + (1 << n,)), gate)
-    return circuit.global_phase * m
+        assert np.array_equal(simulate(c), full_update_reference(c))
 
 
 class TestDiagonalHalfSlice:
-    """Z, S, SDG and PHASE with fewer than n-1 controls scale the target's 1
-    slice alone, and RZ (u00 != 1) keeps the full update; every entry must
-    equal the full 2x2 update's."""
+    """Z, S, SDG and PHASE with fewer than n-1 controls scale their rows j
+    alone, and RZ (u00 != 1) updates both rows of each pair; every entry
+    must equal the full 2x2 update's."""
 
     KINDS = (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.PHASE, GateKind.RZ)
 
@@ -369,6 +361,35 @@ class TestDiagonalHalfSlice:
             single = Circuit(n, (gate,))
             assert np.array_equal(simulate(single), full_update_reference(single))
         assert max_abs_diff(simulate(c), c.global_phase * expected) < 1e-12
+
+
+class TestRowPairMemo:
+    """The row pairs are memoized per (target, controls, n); a memo warmed by
+    circuits at other qubit counts must not change a byte of the result."""
+
+    SITES = (
+        (GateKind.H, 0, ()),
+        (GateKind.X, 0, ((1, True),)),
+        (GateKind.RY, 1, ((0, False),)),
+        (GateKind.S, 1, ((0, True),)),
+        (GateKind.X, 1, ()),
+        (GateKind.Z, 0, ((1, False),)),
+    )
+
+    def circuit_on(self, n):
+        gates = [Gate(kind, t, c, 0.7 if kind.parametric else None) for kind, t, c in self.SITES]
+        return Circuit(n, tuple(gates) * 2, global_phase=1j)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cold_and_warm_memo(self, n):
+        circuit_module._row_pairs.cache_clear()
+        cold = simulate(self.circuit_on(n))
+        circuit_module._row_pairs.cache_clear()
+        for other in (2, 3, 4, 5):
+            if other != n:
+                simulate(self.circuit_on(other))
+        assert simulate(self.circuit_on(n)).tobytes() == cold.tobytes()
+        assert np.array_equal(cold, full_update_reference(self.circuit_on(n)))
 
 
 class TestCounts:

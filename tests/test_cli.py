@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth import twolevel
+from hermsynth import cli, twolevel
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, load_circuit, save_circuit, serialize
 from hermsynth.cli import main
 from hermsynth.jacobi import diagonalize
@@ -258,6 +258,17 @@ class TestSimulateAndCounts:
         path = tmp_path / "empty.circ"
         path.write_text("")
         assert main(["simulate", str(path)]) == 2
+
+    def test_too_large_to_simulate_exits_3(self, tmp_path, monkeypatch, capsys):
+        # stands in for np.eye failing on 2^20 x 2^20, without allocating
+        def out_of_memory(circuit):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "simulate", out_of_memory)
+        path = tmp_path / "big.circ"
+        path.write_text("qubits 20\nphase 1,0\n")
+        assert main(["simulate", str(path)]) == 3
+        assert capsys.readouterr().err == "error: too large to simulate densely\n"
 
 
 class TestBaseline:

@@ -43,23 +43,22 @@ RNG = np.random.default_rng(2718)
 
 class TestRotationParams:
     def test_hadamard_block(self):
-        theta, alpha, has_phase = rotation_params(SQRT1_2, -SQRT1_2, SQRT1_2 + 0j)
+        theta, alpha = rotation_params(SQRT1_2, -SQRT1_2, SQRT1_2 + 0j)
         assert theta == pytest.approx(-math.pi / 4, abs=1e-12)
-        assert alpha == 0.0 and not has_phase
+        assert alpha == 0.0
 
     def test_pure_imaginary_pivot(self):
-        theta, alpha, has_phase = rotation_params(0.0, 0.0, -1j)
+        theta, alpha = rotation_params(0.0, 0.0, -1j)
         assert theta == pytest.approx(-math.pi / 2, abs=1e-12)
         assert alpha == pytest.approx(-math.pi / 2, abs=1e-12)
-        assert has_phase
 
     def test_small_pivot_small_angle(self):
-        theta, _, _ = rotation_params(1.0, -1.0, 1e-6 + 0j)
+        theta, _ = rotation_params(1.0, -1.0, 1e-6 + 0j)
         assert abs(theta) < 1e-5
 
     def test_negative_real_pivot_no_phase(self):
-        theta, alpha, has_phase = rotation_params(0.0, 0.0, -1.0 + 0j)
-        assert not has_phase and alpha == 0.0
+        theta, alpha = rotation_params(0.0, 0.0, -1.0 + 0j)
+        assert alpha == 0.0
         assert abs(theta) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_zero_pivot_rejected(self):
@@ -70,27 +69,27 @@ class TestRotationParams:
         for _ in range(200):
             app, aqq = RNG.normal(size=2)
             apq = complex(RNG.normal(), RNG.normal())
-            theta, _, _ = rotation_params(app, aqq, apq)
+            theta, _ = rotation_params(app, aqq, apq)
             assert abs(theta) <= math.pi / 2 + 1e-12
 
 
 class TestApplyRotation:
     def test_hadamard_diagonalized(self):
-        theta, alpha, has_phase = rotation_params(HADAMARD[0, 0].real, HADAMARD[1, 1].real, HADAMARD[0, 1])
-        step = RotationStep(0, 1, theta, alpha, has_phase)
+        theta, alpha = rotation_params(HADAMARD[0, 0].real, HADAMARD[1, 1].real, HADAMARD[0, 1])
+        step = RotationStep(0, 1, theta, alpha)
         out = apply_rotation(HADAMARD, step)
         assert max_abs_diff(out, np.diag([1.0, -1.0])) < 1e-12
 
     def test_pauli_y_diagonalized(self):
-        step = RotationStep(0, 1, -math.pi / 2, -math.pi / 2, True)
+        step = RotationStep(0, 1, -math.pi / 2, -math.pi / 2)
         out = apply_rotation(PAULI_Y, step)
         assert max_abs_diff(out, np.diag([1.0, -1.0])) < 1e-12
 
     def test_preserves_hermitian_unitary(self):
         h = random_hermitian_unitary(RNG, 8)
         p, q = 2, 5
-        theta, alpha, hp = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
-        out = apply_rotation(h, RotationStep(p, q, theta, alpha, hp))
+        theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
+        out = apply_rotation(h, RotationStep(p, q, theta, alpha))
         assert is_hermitian(out) and is_unitary(out)
         assert abs(out[p, q]) <= 1e-12
 
@@ -99,16 +98,16 @@ class TestApplyRotation:
         h = random_hermitian_unitary(RNG, 8)
         p, q = 1, 6
         pivot = abs(h[p, q]) ** 2
-        theta, alpha, hp = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
-        out = apply_rotation(h, RotationStep(p, q, theta, alpha, hp))
+        theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
+        out = apply_rotation(h, RotationStep(p, q, theta, alpha))
         drop = off_norm(h) ** 2 - off_norm(out) ** 2
         assert drop == pytest.approx(2.0 * pivot, abs=1e-10)
 
     def test_only_pivot_rows_cols_change(self):
         h = random_hermitian_unitary(RNG, 8)
         p, q = 0, 3
-        theta, alpha, hp = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
-        out = apply_rotation(h, RotationStep(p, q, theta, alpha, hp))
+        theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
+        out = apply_rotation(h, RotationStep(p, q, theta, alpha))
         untouched = [k for k in range(8) if k not in (p, q)]
         assert np.array_equal(out[np.ix_(untouched, untouched)], h[np.ix_(untouched, untouched)])
 
@@ -117,8 +116,8 @@ class TestApplyRotation:
         for dim in (2, 4, 8):
             h = random_hermitian_unitary(RNG, dim)
             p, q = 0, dim - 1
-            theta, alpha, hp = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
-            out = apply_rotation(h, RotationStep(p, q, theta, alpha, hp))
+            theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
+            out = apply_rotation(h, RotationStep(p, q, theta, alpha))
             assert np.max(np.abs(charpoly_coeffs(h) - charpoly_coeffs(out))) < 1e-10
 
 
@@ -160,7 +159,7 @@ class TestDiagonalize:
         step = res.steps[0]
         assert (step.p, step.q) == (2, 3)
         assert step.theta == pytest.approx(-math.pi / 4, abs=1e-12)
-        assert not step.has_phase
+        assert step.alpha == 0.0
         assert res.signs == (1, 1, 1, -1)
         assert res.sweeps == 1
 

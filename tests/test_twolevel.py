@@ -6,7 +6,7 @@ import pytest
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary, two_level_matrix
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, serialize, simulate
 from hermsynth.diagonal import synthesize_sign_diagonal
-from hermsynth.errors import VerificationFailed
+from hermsynth.errors import IndexOutOfRange, VerificationFailed
 from hermsynth.jacobi import RotationStep, diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import OptLevel
@@ -44,7 +44,7 @@ class TestGrayPath:
 
 class TestEmitTwoLevel:
     def test_single_controlled_ry(self):
-        step = RotationStep(2, 3, -math.pi / 4, 0.0, False)
+        step = RotationStep(2, 3, -math.pi / 4, 0.0)
         gates = emit_two_level(step, 2)
         assert len(gates) == 1
         g = gates[0]
@@ -53,7 +53,7 @@ class TestEmitTwoLevel:
         assert g.param == pytest.approx(-math.pi / 4)
 
     def test_phase_pair(self):
-        step = RotationStep(2, 3, -math.pi / 2, -math.pi / 2, True)
+        step = RotationStep(2, 3, -math.pi / 2, -math.pi / 2)
         gates = emit_two_level(step, 2)
         kinds = [g.kind for g in gates]
         assert kinds == [GateKind.RY, GateKind.PHASE]
@@ -63,7 +63,7 @@ class TestEmitTwoLevel:
         assert max_abs_diff(got, two_level_matrix(step, 4)) < 1e-12
 
     def test_ladder_case(self):
-        step = RotationStep(0, 3, 0.7, 0.0, False)
+        step = RotationStep(0, 3, 0.7, 0.0)
         gates = emit_two_level(step, 2)
         kinds = [g.kind for g in gates]
         assert kinds == [GateKind.X, GateKind.RY, GateKind.X]
@@ -73,7 +73,7 @@ class TestEmitTwoLevel:
     def test_swapped_orientation_pair(self):
         # (1, 2): the path ends on the pivot-0 state, exercising the
         # orientation fix for complex pivots
-        step = RotationStep(1, 2, -0.8, 1.1, True)
+        step = RotationStep(1, 2, -0.8, 1.1)
         got = simulate(Circuit(2, emit_two_level(step, 2)))
         assert max_abs_diff(got, two_level_matrix(step, 4)) < 1e-12
 
@@ -82,13 +82,13 @@ class TestEmitTwoLevel:
         dim = 1 << n
         for p in range(dim):
             for q in range(p + 1, dim):
-                for has_phase in (False, True):
-                    step = RotationStep(p, q, 0.9, -2.3 if has_phase else 0.0, has_phase)
+                for alpha in (0.0, -2.3):
+                    step = RotationStep(p, q, 0.9, alpha)
                     got = simulate(Circuit(n, emit_two_level(step, n)))
                     assert max_abs_diff(got, two_level_matrix(step, dim)) < 1e-12
 
     def test_identity_outside_pair(self):
-        step = RotationStep(1, 6, 0.4, 0.9, True)
+        step = RotationStep(1, 6, 0.4, 0.9)
         m = simulate(Circuit(3, emit_two_level(step, 3)))
         for k in range(8):
             if k in (1, 6):
@@ -103,7 +103,7 @@ class TestEmitTwoLevel:
             for p in range(1 << n):
                 for q in range(p + 1, 1 << n):
                     l = bin(p ^ q).count("1")
-                    gates = emit_two_level(RotationStep(p, q, 0.3, 0.0, False), n)
+                    gates = emit_two_level(RotationStep(p, q, 0.3, 0.0), n)
                     lead = 0
                     while gates[lead].kind is GateKind.X:
                         lead += 1
@@ -114,12 +114,17 @@ class TestEmitTwoLevel:
         adjacent = 0
         for p in range(8):
             for q in range(p + 1, 8):
-                step = RotationStep(p, q, 0.3, 0.0, False)
+                step = RotationStep(p, q, 0.3, 0.0)
                 gates = emit_two_level(step, n)
                 if (p ^ q).bit_count() == 1:
                     adjacent += 1
                     assert all(g.kind is not GateKind.X for g in gates)
         assert adjacent == n * (1 << (n - 1))
+
+    @pytest.mark.parametrize("p, q, n", [(0, 4, 2), (3, 8, 3), (7, 8, 3), (0, 1 << 6, 5)])
+    def test_step_outside_register_raises(self, p, q, n):
+        with pytest.raises(IndexOutOfRange, match=rf"^need 0 <= p < q < 2\^{n}, got \({p}, {q}\)$"):
+            emit_two_level(RotationStep(p, q, 0.3, 0.7), n)
 
 
 class TestEmitExactGates:
@@ -127,13 +132,13 @@ class TestEmitExactGates:
 
     def test_adjacent_pair(self):
         ctl = ((0, True), (2, True))
-        assert emit_two_level(RotationStep(5, 7, 0.5, -0.25, True), 3) == (
+        assert emit_two_level(RotationStep(5, 7, 0.5, -0.25), 3) == (
             Gate(GateKind.RY, 1, ctl, 0.5),
             Gate(GateKind.PHASE, 1, ctl, 0.25),
         )
 
     def test_hamming_three_ladder(self):
-        assert emit_two_level(RotationStep(0, 7, -0.75, 0.0, False), 3) == (
+        assert emit_two_level(RotationStep(0, 7, -0.75, 0.0), 3) == (
             Gate(GateKind.X, 0, ((1, False), (2, False))),
             Gate(GateKind.X, 1, ((0, True), (2, False))),
             Gate(GateKind.RY, 2, ((0, True), (1, True)), -0.75),
@@ -146,7 +151,7 @@ class TestEmitExactGates:
         ladder = Gate(GateKind.X, 1, ((0, False), (2, True)))
         ctl = ((0, False), (1, True))
         flip = Gate(GateKind.X, 2, ctl)
-        assert emit_two_level(RotationStep(1, 2, 0.5, 1.25, True), 3) == (
+        assert emit_two_level(RotationStep(1, 2, 0.5, 1.25), 3) == (
             ladder,
             Gate(GateKind.RY, 2, ctl, -0.5),
             flip,
