@@ -21,9 +21,10 @@ from .baselines import (
 )
 from .circuit import counts, gate_matrix, GateKind, load_circuit, save_circuit, serialize, simulate
 from .errors import NoConvergence, ParseError, SynthesisError, VerificationFailed
-from .matrices import DEFAULT_TOLERANCES, format_matrix, load_matrix, max_abs_diff
+from .matrices import DEFAULT_TOLERANCES, format_matrix, load_matrix
+from .matrices import max_abs_diff  # noqa: F401  (bench/tracing.py rebinds cli.max_abs_diff)
 from .optimize import OptLevel, rewrite_cz_cnot
-from .twolevel import SynthesisReport, build_circuit, verified_report
+from .twolevel import SynthesisReport, build_circuit, circuit_error, verified_report
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -95,7 +96,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return _EXIT_PARSE
-    error = max_abs_diff(simulate(circuit), matrix)
+    error = circuit_error(circuit, matrix)
     print(f"max_abs_diff: {error:.17g}")
     return _EXIT_OK if error <= DEFAULT_TOLERANCES.verify_tol else _EXIT_VERIFICATION
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from .circuit import Circuit, Gate, GateKind, counts, invert_gates, simulate
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
@@ -94,34 +96,116 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
     return ladder + core + ladder[::-1]
 
 
-def _assemble(result: JacobiResult, n: int) -> Circuit:
-    """W^dagger, the sign diagonal, then W: the forward factors of the steps
-    in reverse order, each step emitted once."""
-    diag_gates, phase = synthesize_sign_diagonal(result.signs)
-    forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
-    return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)
-
-
-def verify_circuit(circuit: Circuit, h) -> float:
-    """Max entrywise deviation of the simulated circuit from ``h``.
-
-    Raises VerificationFailed if it exceeds verify_tol (which would indicate
-    a bug, not a property of the input).
-    """
-    error = max_abs_diff(simulate(circuit), h)
-    if error > DEFAULT_TOLERANCES.verify_tol:
-        raise VerificationFailed(error)
-    return error
+def _site_run(gates) -> int:
+    """Length of the leading run of ``gates`` on one site (target and controls)."""
+    end = min(len(gates), 1)
+    while end < len(gates) and (gates[end].target, gates[end].controls) == (
+        gates[0].target, gates[0].controls
+    ):
+        end += 1
+    return end
 
 
 def build_circuit(
     h, opt_level: OptLevel = OptLevel.FULL, max_sweeps: int = 30
 ) -> tuple[Circuit, JacobiResult]:
-    """The first step of :func:`synthesize`: diagonalize ``h``, assemble the
-    circuit and optimize it. The circuit is not yet verified."""
+    """The first step of :func:`synthesize`: diagonalize ``h``, then build
+    W^dagger D W, optimized, from the forward half. The circuit is not yet
+    verified.
+
+    W is the forward factors of the steps in reverse order, each step
+    emitted once, and D the sign diagonal. ``optimize`` runs on W alone,
+    giving head + rest with ``head`` its leading run on one site. A pass
+    over W^dagger D W only combines neighbouring gates on one site, so it
+    can reach across the centre only within invert_gates(head) D head:
+    every gate of W carries n-1 controls and W holds no Z, while D holds
+    only Z, so no gate of ``rest`` shares a site with the window's ends or
+    combines with D. That window is optimized once more as the centre,
+    and the circuit is invert_gates(rest) + centre + rest. When the centre
+    cancels away (D is empty), invert_gates(rest) meets rest and cancels
+    gate for gate, so the circuit is empty.
+    """
     result = diagonalize(h, max_sweeps)
     n = len(result.signs).bit_length() - 1
-    return optimize(_assemble(result, n), opt_level), result
+    diag_gates, phase = synthesize_sign_diagonal(result.signs)
+    forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
+    half = optimize(Circuit(n, forward), opt_level).gates
+    split = _site_run(half)
+    head, rest = half[:split], half[split:]
+    centre = optimize(Circuit(n, invert_gates(head) + diag_gates + head), opt_level).gates
+    gates = invert_gates(rest) + centre + rest if centre else ()
+    return Circuit(n, gates, global_phase=phase), result
+
+
+def mirror_depth(gates) -> int:
+    """The number k of leading gates that literally mirror the trailing
+    ones: for every i < k, ``gates[i]`` has the inverse kind, the same
+    target and controls, and the negated angle of ``gates[-1-i]``. The
+    first k gates then multiply to the inverse of the last k exactly."""
+    last = len(gates) - 1
+    k = 0
+    while k < last - k:
+        a, b = gates[k], gates[last - k]
+        if (
+            a.kind is not b.kind.inverse
+            or a.target != b.target
+            or a.controls != b.controls
+            or (a.kind.parametric and a.param != -b.param)
+        ):
+            break
+        k += 1
+    return k
+
+
+def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
+    """phase M C M^H, with M the simulated last k gates and C the gates
+    between the first k and the last k. When ``k`` is at most
+    :func:`mirror_depth` of the gates, this is the circuit's matrix up to
+    roundoff. A centre of diagonal kinds is applied as a column scaling."""
+    gates, n = circuit.gates, circuit.n_qubits
+    cut = len(gates) - k
+    m = simulate(Circuit(n, gates[cut:]))
+    centre = gates[k:cut]
+    c = simulate(Circuit(n, centre, circuit.global_phase))
+    if all(g.kind.diagonal for g in centre):
+        return (m * c.diagonal()) @ m.conj().T
+    return (m @ c) @ m.conj().T
+
+
+# The mirror route simulates len(gates) - k gates instead of len(gates),
+# and pays for it with one dense N x N product (two when the centre is not
+# diagonal). Measured on synthesized circuits cut to shorter mirrored
+# windows (2-core x86_64 host), it broke even at about 45, 110, 540,
+# 3000-5000 and 9000-15000 gates at n = 5..9, that is at N^3 / 2^9.5,
+# 2^11, 2^12, 2^12 and 2^13.4. The route is taken from
+# len(gates) << _MIRROR_SHIFT >= N^3 on: from 512 gates at n = 7 and
+# 4096 at n = 8.
+_MIRROR_SHIFT = 12
+
+
+def circuit_error(circuit: Circuit, h) -> float:
+    """Max entrywise deviation of the circuit's matrix from ``h``.
+
+    A circuit large for its size whose leading gates mirror its trailing
+    ones (:func:`mirror_depth`), such as W^dagger D W, is computed by
+    :func:`mirror_matrix`; any other is simulated whole.
+    """
+    gates = circuit.gates
+    big = len(gates) << _MIRROR_SHIFT >= 1 << 3 * circuit.n_qubits
+    k = mirror_depth(gates) if big else 0
+    return max_abs_diff(mirror_matrix(circuit, k) if k else simulate(circuit), h)
+
+
+def verify_circuit(circuit: Circuit, h) -> float:
+    """:func:`circuit_error` of the circuit against ``h``.
+
+    Raises VerificationFailed if it exceeds verify_tol (which would indicate
+    a bug, not a property of the input).
+    """
+    error = circuit_error(circuit, h)
+    if error > DEFAULT_TOLERANCES.verify_tol:
+        raise VerificationFailed(error)
+    return error
 
 
 def verified_report(

@@ -9,7 +9,8 @@ from itertools import groupby
 
 import numpy as np
 
-from hermsynth.circuit import Circuit, Gate, GateKind, gate_entries
+from hermsynth.circuit import Circuit, Gate, GateKind, gate_entries, invert_gates
+from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import BadDimension, NoConvergence
 from hermsynth.jacobi import (
     JacobiResult,
@@ -19,6 +20,7 @@ from hermsynth.jacobi import (
     snap_signs,
 )
 from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
+from hermsynth.twolevel import emit_two_level
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -196,6 +198,16 @@ def two_level_matrix(step: RotationStep, dim: int) -> np.ndarray:
     """Dense embedding of Q' = R(-alpha) G(theta) at (p, q)."""
     r, g = step_factors(step, dim)
     return r @ g
+
+
+def assemble_whole(result: JacobiResult, n: int) -> Circuit:
+    """W^dagger, the sign diagonal, then W, unoptimized: the forward
+    factors of the steps in reverse order, each step emitted once, and
+    their inverse. ``optimize`` of this circuit is the reference that
+    ``build_circuit``'s half-plus-centre build must equal gate for gate."""
+    diag_gates, phase = synthesize_sign_diagonal(result.signs)
+    forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
+    return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)
 
 
 # --- reference for the simulator ---------------------------------------------

@@ -100,21 +100,23 @@ class TestSynth:
 
     @pytest.mark.parametrize("lib", ["cz", "cnot"])
     def test_one_simulation_per_synth(self, ch_file, tmp_path, monkeypatch, lib):
-        simulated = []
-        real_simulate = twolevel.simulate
+        # the mirror route simulates the half and the centre, so the check
+        # counts verifications: the written circuit is the one verified, once
+        verified = []
+        real_error = twolevel.circuit_error
 
-        def counting_simulate(circuit):
-            simulated.append(circuit)
-            return real_simulate(circuit)
+        def counting_error(circuit, h):
+            verified.append(circuit)
+            return real_error(circuit, h)
 
-        monkeypatch.setattr(twolevel, "simulate", counting_simulate)
+        monkeypatch.setattr(twolevel, "circuit_error", counting_error)
         out = tmp_path / "c.circ"
         code = main(
             ["synth", ch_file, "--lib", lib, "--out", str(out), "--report", str(tmp_path / "r")]
         )
         assert code == 0
-        assert len(simulated) == 1
-        assert serialize(simulated[0]) == out.read_text()  # the written circuit is verified
+        assert len(verified) == 1
+        assert serialize(verified[0]) == out.read_text()
 
     def test_non_hermitian_exit(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -178,6 +180,42 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert code == 5
         assert float(printed.split(":")[1]) > 0.5
+
+    def test_one_verification_per_verify(self, tmp_path, monkeypatch, capsys):
+        verified = []
+        real_error = twolevel.circuit_error
+        monkeypatch.setattr(
+            cli, "circuit_error", lambda c, h: verified.append(c) or real_error(c, h)
+        )
+        mpath, out = tmp_path / "m.txt", tmp_path / "c.circ"
+        save_matrix(mpath, random_hermitian_unitary(np.random.default_rng(12), 8))
+        assert main(["synth", str(mpath), "--lib", "cnot", "--out", str(out)]) == 0
+        verified.clear()
+        assert main(["verify", str(mpath), str(out)]) == 0
+        assert [serialize(c) for c in verified] == [out.read_text()]
+
+    def test_mutated_first_half_exits_5(self, tmp_path, capsys):
+        # one angle of the first half off by 1e-7 ends the mirror match there
+        mpath, out = tmp_path / "m.txt", tmp_path / "c.circ"
+        save_matrix(mpath, random_hermitian_unitary(np.random.default_rng(13), 8))
+        assert main(["synth", str(mpath), "--out", str(out)]) == 0
+        circuit = load_circuit(out)
+        gates = list(circuit.gates)
+        i = next(j for j, g in enumerate(gates) if g.kind is GateKind.RY and j > 2)
+        assert i < twolevel.mirror_depth(gates)
+        gates[i] = Gate(GateKind.RY, gates[i].target, gates[i].controls, gates[i].param + 1e-7)
+        save_circuit(out, Circuit(circuit.n_qubits, tuple(gates), circuit.global_phase))
+        capsys.readouterr()
+        assert main(["verify", str(mpath), str(out)]) == 5
+        assert float(capsys.readouterr().out.split(":")[1]) > 1e-9
+
+    def test_first_gate_deleted_exits_5(self, tmp_path, capsys):
+        mpath, out = tmp_path / "m.txt", tmp_path / "c.circ"
+        save_matrix(mpath, np.eye(4)[[0, 1, 3, 2]])  # CNOT
+        assert main(["synth", str(mpath), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines[:2] + lines[3:]))
+        assert main(["verify", str(mpath), str(out)]) == 5
 
     def test_mismatched_sizes(self, ch_file, tmp_path):
         circ = tmp_path / "one.circ"

@@ -11,6 +11,7 @@ from helpers import (
     HADAMARD,
     PAULI_X,
     PAULI_Y,
+    assemble_whole,
     block_direct_sum,
     phased_involution,
     random_circuit,
@@ -28,7 +29,6 @@ from hermsynth.optimize import (
     rewrite_cz_cnot,
     strip_conjugate_controls,
 )
-from hermsynth.twolevel import _assemble
 
 RNG = np.random.default_rng(4242)
 
@@ -245,7 +245,7 @@ def record_passes(monkeypatch) -> list[str]:
 @cache
 def assembled(n: int, seed: int) -> Circuit:
     h = random_hermitian_unitary(np.random.default_rng(seed), 1 << n)
-    return _assemble(diagonalize(h), n)
+    return assemble_whole(diagonalize(h), n)
 
 
 class TestFullLoop:
@@ -365,14 +365,14 @@ class TestStripFilter:
     def test_assembled_sparse(self, n):
         rng = np.random.default_rng(400 + n)
         for h in (phased_involution(rng, n), block_direct_sum(rng, n)):
-            strip_rounds_agree(_assemble(diagonalize(h), n))
+            strip_rounds_agree(assemble_whole(diagonalize(h), n))
 
     def test_controlled_u_family(self):
         for u in (HADAMARD, PAULI_X, PAULI_Y):
             for k in (1, 2, 3, 4):
                 h = np.eye(2 << k, dtype=complex)
                 h[-2:, -2:] = u
-                assert strip_rounds_agree(_assemble(diagonalize(h), k + 1)) > 0
+                assert strip_rounds_agree(assemble_whole(diagonalize(h), k + 1)) > 0
 
     def test_single_ry_with_odd_xy_count(self):
         # RY(pi) X X Z X and RY(pi) Y RZ(pi) PHASE(-pi) multiply to I up to
@@ -419,7 +419,7 @@ class TestEmittedCircuits:
     )
     def test_sound_idempotent_and_numeric_strip(self, n, builder, seed):
         h = HERMITIAN_BUILDERS[builder](np.random.default_rng(seed), n)
-        c = _assemble(diagonalize(h), n)
+        c = assemble_whole(diagonalize(h), n)
         strip_rounds_agree(c)
         out = optimize(c, OptLevel.FULL)
         assert max_abs_diff(simulate(out), simulate(c)) < 1e-12

@@ -45,6 +45,9 @@ def test_entry_points_are_covered():
         "twolevel.build_circuit",
         "twolevel.verified_report",
         "twolevel.verify_circuit",
+        "twolevel.circuit_error",
+        "twolevel.mirror_depth",
+        "twolevel.mirror_matrix",
         "diagonal.synthesize_sign_diagonal",
         "baselines.jacobi_cu",
         "baselines.h2_params",
