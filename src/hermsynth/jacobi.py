@@ -139,11 +139,13 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
     Each sweep rotates, in row-major order, every pair (p, q) with p < q
-    whose entry exceeds zero_tol when the sweep reaches it. Row p is scanned
-    as one array for its first such entry past q; a rotation rewrites row p,
-    so the scan resumes past the rotated q on the new values. That rotates
-    the same pairs in the same order as testing each entry in turn, while
-    the zero entries of a sparse input cost no Python-level work. Sweeps
+    whose entry exceeds zero_tol when the sweep reaches it. The entry just
+    past q is tested directly; when it fails, row p is scanned as one array
+    for its first such entry past q. A rotation rewrites row p, so the
+    search resumes past the rotated q on the new values. That rotates the
+    same pairs in the same order as testing each entry in turn, while a
+    dense row costs one scalar test per rotation and the zero entries of a
+    sparse input cost no Python-level work. Sweeps
     repeat until off_norm <= zero_tol * dim. Cyclic Jacobi can refill
     previously zeroed entries, hence the multi-sweep loop. The +/-1 spectrum
     of these inputs is highly degenerate, so convergence is close to linear
@@ -176,11 +178,14 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
             row, q = work[p], p
             while q < dim - 1:
                 # the first entry past q above zero_tol, in row p as the
-                # last rotation left it
-                above = np.abs(row[q + 1 :]) > zero_tol
-                k = int(above.argmax())  # the first True, or 0 if none
-                if not above[k]:
-                    break
+                # last rotation left it: on dense inputs almost always the
+                # next one, so the row is scanned only when that one fails
+                k = 0
+                if abs(row[q + 1]) <= zero_tol:
+                    above = np.abs(row[q + 1 :]) > zero_tol
+                    k = int(above.argmax())  # the first True, or 0 if none
+                    if not above[k]:
+                        break
                 q += 1 + k
                 theta, alpha = rotation_params(
                     work[p, p].real, work[q, q].real, complex(work[p, q])

@@ -59,8 +59,8 @@ def is_unitary(a) -> bool:
 
 def off_norm(a) -> float:
     """Frobenius norm of the off-diagonal part (complex moduli)."""
-    m = as_matrix(a)
-    off = m - np.diag(np.diagonal(m))
+    off = as_matrix(a).copy()
+    np.fill_diagonal(off, 0.0)
     return float(np.sqrt(np.sum(np.abs(off) ** 2)))
 
 

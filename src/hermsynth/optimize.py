@@ -38,7 +38,7 @@ def _combine(g1: Gate, g2: Gate):
     if not g1.kind.parametric:
         return None
     total = g1.param + g2.param
-    return None if total == 0.0 else Gate(g1.kind, g1.target, g1.controls, total)
+    return None if total == 0.0 else g1._on_site(g1.kind, total)
 
 
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:

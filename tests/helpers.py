@@ -20,7 +20,7 @@ from hermsynth.jacobi import (
     snap_signs,
 )
 from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
-from hermsynth.twolevel import emit_two_level
+from hermsynth.twolevel import emit_two_level, gray_path
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -198,6 +198,33 @@ def two_level_matrix(step: RotationStep, dim: int) -> np.ndarray:
     """Dense embedding of Q' = R(-alpha) G(theta) at (p, q)."""
     r, g = step_factors(step, dim)
     return r @ g
+
+
+def emit_two_level_gray(step: RotationStep, n: int) -> tuple[Gate, ...]:
+    """``twolevel.emit_two_level`` rebuilt for each step from its gray path,
+    every gate by the validating ``Gate(...)``: the ladder of fully
+    controlled X gates to the neighbour of q, the RY (negated when q has a
+    0 at the pivot) and for complex steps the PHASE, conjugated by the
+    pivot X in the swapped orientation, then the ladder unwound."""
+    states = gray_path(step.p, step.q, n)
+    flips = [n - 1 - ((a ^ b).bit_length() - 1) for a, b in zip(states, states[1:])]
+
+    def controls(state: int, target: int) -> tuple[tuple[int, bool], ...]:
+        return tuple((qb, bool((state >> (n - 1 - qb)) & 1)) for qb in range(n) if qb != target)
+
+    ladder = tuple(Gate(GateKind.X, qb, controls(s, qb)) for s, qb in zip(states, flips[:-1]))
+    i = flips[-1]
+    site = controls(step.q, i)
+    if (step.q >> (n - 1 - i)) & 1:
+        core = (Gate(GateKind.RY, i, site, step.theta),)
+        if step.alpha:
+            core += (Gate(GateKind.PHASE, i, site, -step.alpha),)
+    else:
+        core = (Gate(GateKind.RY, i, site, -step.theta),)
+        if step.alpha:
+            flip = Gate(GateKind.X, i, site)
+            core += (flip, Gate(GateKind.PHASE, i, site, -step.alpha), flip)
+    return ladder + core + ladder[::-1]
 
 
 def assemble_whole(result: JacobiResult, n: int) -> Circuit:

@@ -23,6 +23,7 @@ from hermsynth.circuit import (
     GateKind,
     counts,
     gate_matrix,
+    invert_gate,
     invert_gates,
     parse,
     serialize,
@@ -122,6 +123,45 @@ class TestGateValidation:
     def test_non_finite_phase(self, phase):
         with pytest.raises(ValueError):
             Circuit(1, (), global_phase=phase)
+
+
+class TestOnSite:
+    """``Gate._on_site`` copies the site of a validated gate and checks
+    only the angle, with the messages of ``Gate(...)``."""
+
+    SITE = Gate(GateKind.X, 2, ((4, True), (0, False)))
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [(GateKind.RY, 0.3), (GateKind.PHASE, -1.0), (GateKind.RZ, 2.0), (GateKind.S, None),
+         (GateKind.H, None)],
+    )
+    def test_equals_validated_twin(self, kind, param):
+        g = self.SITE._on_site(kind, param)
+        twin = Gate(kind, self.SITE.target, self.SITE.controls, param)
+        assert g == twin and g.highest == twin.highest == 4
+        assert hash(g) == hash(twin)
+
+    @pytest.mark.parametrize(
+        "kind, param, message",
+        [
+            (GateKind.RY, None, "RY requires a finite angle"),
+            (GateKind.PHASE, math.inf, "PHASE requires a finite angle"),
+            (GateKind.RZ, math.nan, "RZ requires a finite angle"),
+            (GateKind.X, 0.5, "X takes no angle"),
+        ],
+    )
+    def test_checks_the_angle(self, kind, param, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.SITE._on_site(kind, param)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate(kind, self.SITE.target, self.SITE.controls, param)
+
+    def test_inverses_equal_validated_twins(self):
+        for g in random_circuit(RNG, 4, 60).gates:
+            inv = invert_gate(g)
+            twin = Gate(g.kind.inverse, g.target, g.controls, None if g.param is None else -g.param)
+            assert inv == twin and inv.highest == twin.highest
 
 
 class TestEmbed:
@@ -447,6 +487,16 @@ class TestCounts:
     def test_total_matches_length(self):
         c = random_circuit(RNG, 4, 25)
         assert sum(counts(c).values()) == len(c.gates)
+
+    def test_order_of_first_gates(self):
+        # the classes keep the order of their first gates, as a per-gate walk gives
+        for seed in range(20):
+            c = random_circuit(np.random.default_rng(seed), 3, 12)
+            walk: dict[str, int] = {}
+            for g in c.gates:
+                key = counts(Circuit(3, (g,))).popitem()[0]
+                walk[key] = walk.get(key, 0) + 1
+            assert list(counts(c).items()) == list(walk.items())
 
 
 class TestSerialization:

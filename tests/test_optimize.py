@@ -100,6 +100,16 @@ class TestCancelAdjacentInverses:
         c = cancel_adjacent_inverses(Circuit(2, gates))
         assert c.gates == gates
 
+    def test_merged_angle_overflow_raises(self):
+        # 1e308 + 1e308 overflows to infinity; the merged gate checks its angle
+        gates = (cry(1e308), cry(1e308))
+        with pytest.raises(ValueError, match="^RY requires a finite angle$"):
+            cancel_adjacent_inverses(Circuit(2, gates))
+
+    def test_merged_gate_keeps_the_site(self):
+        merged = cancel_adjacent_inverses(Circuit(2, (cry(0.25), cry(0.5)))).gates
+        assert merged == (cry(0.75),) and merged[0].highest == 1
+
 
 class TestStripConjugateControls:
     def test_ch_pattern(self):

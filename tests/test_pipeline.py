@@ -104,8 +104,8 @@ def synthesized_text(n: int, seed: int) -> str:
 
 
 class TestDeterminism:
-    """``emit_two_level`` shares control tuples and X gates through
-    process-global caches; no circuit byte may depend on what they hold."""
+    """``emit_two_level`` shares routes and X gates through process-global
+    caches; no circuit byte may depend on what they hold."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -114,7 +114,7 @@ class TestDeterminism:
         between=st.lists(st.integers(1, 4), max_size=3),
     )
     def test_cold_and_warm_caches(self, n, seed, between):
-        twolevel._controls.cache_clear()
+        twolevel._route.cache_clear()
         twolevel._full_x.cache_clear()
         cold = synthesized_text(n, seed)
         for k, m in enumerate(between):

@@ -13,6 +13,7 @@ from helpers import (
     PAULI_Y,
     assemble_whole,
     block_direct_sum,
+    emit_two_level_gray,
     phased_involution,
     random_hermitian_unitary,
     two_level_matrix,
@@ -143,6 +144,55 @@ class TestEmitTwoLevel:
     def test_step_outside_register_raises(self, p, q, n):
         with pytest.raises(IndexOutOfRange, match=rf"^need 0 <= p < q < 2\^{n}, got \({p}, {q}\)$"):
             emit_two_level(RotationStep(p, q, 0.3, 0.7), n)
+
+
+class TestRouteMemo:
+    """``emit_two_level`` reads each (p, q, n) route from a memo; the
+    per-step gray-path emitter of ``tests/helpers.py`` is its oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_gray_path_oracle(self, n):
+        dim = 1 << n
+        for p in range(dim):
+            for q in range(p + 1, dim):
+                for theta, alpha in ((0.9, 0.0), (-0.4, 0.0), (0.9, -2.3), (-1.2, 0.6)):
+                    step = RotationStep(p, q, theta, alpha)
+                    # twice: the second call reads the route from the memo
+                    for _ in range(2):
+                        assert emit_two_level(step, n) == emit_two_level_gray(step, n)
+
+    def test_size_within_bound_after_dense_synthesis(self):
+        n = 5
+        twolevel._route.cache_clear()
+        synthesize(random_hermitian_unitary(np.random.default_rng(8), 1 << n))
+        size = twolevel._route.cache_info().currsize
+        # one route per pair p < q: 2^(n-1) (2^n - 1), as emit_two_level states
+        assert 0 < size <= (1 << (n - 1)) * ((1 << n) - 1)
+
+
+class TestSiteDerivedGates:
+    """Inverses, merged angles and the emitted cores are built by
+    ``Gate._on_site`` without the site checks; each must equal the gate
+    the validating constructor builds from the same fields."""
+
+    @staticmethod
+    def assert_validated_twins(circuit):
+        for g in circuit.gates:
+            twin = Gate(g.kind, g.target, g.controls, g.param)
+            assert g == twin and g.highest == twin.highest
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dense_inputs(self, n):
+        h = random_hermitian_unitary(np.random.default_rng(60 + n), 1 << n)
+        for level in (OptLevel.FULL, OptLevel.NONE):
+            self.assert_validated_twins(synthesize(h, opt_level=level)[0])
+
+    @pytest.mark.parametrize("u", [HADAMARD, PAULI_X, PAULI_Y], ids=["H", "X", "Y"])
+    def test_native_controlled_u(self, u):
+        for k in (1, 2, 3, 4):
+            h = np.eye(2 << k, dtype=complex)
+            h[-2:, -2:] = u
+            self.assert_validated_twins(synthesize(h)[0])
 
 
 class TestEmitExactGates:
