@@ -3,9 +3,9 @@
 The pipeline: complex Jacobi rotations diagonalize a Hermitian unitary into
 an ordered rotation log plus a +/-1 sign diagonal; each rotation becomes
 multi-controlled RY/PHASE gates via gray-code ladders; the diagonal becomes
-multi-controlled Z gates through its GF(2) normal form; rewrite passes
-strip redundant controls and cancel inverse pairs. Everything is verified
-by dense simulation.
+multi-controlled Z gates through its GF(2) normal form; a pass cancels
+inverse pairs, and at the centre of the circuit redundant controls are
+stripped. Everything is verified by dense simulation.
 
 Bit convention throughout: qubit 0 is the MOST significant bit of a
 basis-state index (the top wire).

@@ -151,8 +151,11 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     of these inputs is highly degenerate, so convergence is close to linear
     rather than quadratic: random dense inputs take 2, 3-6, 4-9, 9-11 and
     12-13 sweeps at n = 2..6, the early sweeps rotating nearly all N(N-1)/2
-    pairs. The tolerances are the fixed DEFAULT_TOLERANCES.
+    pairs. The tolerances are the fixed DEFAULT_TOLERANCES. A negative
+    ``max_sweeps`` raises ValueError; 0 runs no sweep.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     tol = DEFAULT_TOLERANCES
     zero_tol = tol.zero_tol
     m = as_matrix(h)

@@ -9,12 +9,18 @@ The strip pass is structural too and reads no tolerance: it removes the
 controls of a conjugate pair B ... A around a controlled diagonal block
 only when A is literally ``invert_gates(B)``. On seeded dense, sparse,
 controlled-U and Kronecker inputs, a numeric test of the 2x2 product A.B
-for the identity stripped exactly the runs this one strips.
+for the identity stripped exactly the runs this one strips. ``optimize``
+does not run it: ``build_circuit`` applies it once, at ``OptLevel.FULL``,
+to the window around the sign diagonal. Over the benchmark workloads'
+pools (seeds 1-3) and 260 C^(n-1) U inputs it tried 732,954 runs on the
+forward half W and stripped none; in the centre window it strips C^k U
+with the target on the last wire and positive controls.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 
 from .circuit import Circuit, Gate, GateKind, invert_gates
 from .matrices import HALF_PI
@@ -94,29 +100,15 @@ def _strip_run(run: tuple[Gate, ...]) -> list[Gate] | None:
 def strip_conjugate_controls(circuit: Circuit) -> Circuit:
     """Remove redundant controls from conjugate pairs around controlled diagonals.
 
-    Runs of neighbouring gates on one site (target and controls) are found
-    in place; a run of one gate, or of uncontrolled gates, is kept as it is.
-    Each longer run goes to ``_strip_run``, which strips B D A to
+    Each run of neighbouring gates on one site (target and controls) that
+    carries controls goes to ``_strip_run``, which strips B D A to
     B' D A' (primes: uncontrolled) when D is a maximal diagonal block and
-    A is literally ``invert_gates(B)``. Most runs fail its first test, an
-    integer compare of the two sides' lengths.
+    A is literally ``invert_gates(B)``; any other run is kept as it is.
     """
-    gates = circuit.gates
-    count = len(gates)
     out: list[Gate] = []
-    start = 0
-    while start < count:
-        first = gates[start]
-        target, controls = first.target, first.controls
-        end = start + 1
-        while end < count and gates[end].target == target and gates[end].controls == controls:
-            end += 1
-        if end - start == 1:
-            out.append(first)
-        else:
-            run = gates[start:end]
-            out += (controls and _strip_run(run)) or run  # uncontrolled: nothing to strip
-        start = end
+    for (_, controls), run in groupby(circuit.gates, key=lambda g: (g.target, g.controls)):
+        run = tuple(run)
+        out += (controls and _strip_run(run)) or run
     return Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
 
 
@@ -149,21 +141,11 @@ def rewrite_cz_cnot(circuit: Circuit, target_lib: str) -> Circuit:
 
 
 def optimize(circuit: Circuit, level: OptLevel = OptLevel.FULL) -> Circuit:
-    """None: identity. Basic: cancellation/merge. Full: control stripping
-    plus cancellation, iterated to a fixpoint.
+    """None: identity. Basic and Full: one cancellation pass.
 
-    Cancellation's output has no adjacent pair left to combine, so once a
-    strip pass leaves a cancelled circuit unchanged, cancelling again would
-    too, and the loop stops there. The input is not known to be cancelled,
-    so the first round always runs both passes.
+    Full differs from Basic only in ``build_circuit``, which applies
+    :func:`strip_conjugate_controls` to the centre window of W^dagger D W.
     """
     if level is OptLevel.NONE:
         return circuit
-    if level is OptLevel.BASIC:
-        return cancel_adjacent_inverses(circuit)
-    current = cancel_adjacent_inverses(strip_conjugate_controls(circuit))
-    if current.gates == circuit.gates:
-        return current
-    while (stripped := strip_conjugate_controls(current)).gates != current.gates:
-        current = cancel_adjacent_inverses(stripped)
-    return current
+    return cancel_adjacent_inverses(circuit)

@@ -18,7 +18,7 @@ from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
 from .matrices import DEFAULT_TOLERANCES, max_abs_diff
-from .optimize import OptLevel, optimize
+from .optimize import OptLevel, optimize, strip_conjugate_controls
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,11 @@ def build_circuit(
     and the circuit is invert_gates(rest) + centre + rest. When the centre
     cancels away (D is empty), invert_gates(rest) meets rest and cancels
     gate for gate, so the circuit is empty.
+
+    At ``OptLevel.FULL`` the window first goes through
+    :func:`strip_conjugate_controls`, the one place the rule has matched
+    (see :mod:`hermsynth.optimize`): with ``head`` a rotation core and D
+    one Z on its site, C^k U gets the paper's uncontrolled rotations.
     """
     result = diagonalize(h, max_sweeps)
     n = len(result.signs).bit_length() - 1
@@ -142,7 +147,10 @@ def build_circuit(
     half = optimize(Circuit(n, forward), opt_level).gates
     split = _site_run(half)
     head, rest = half[:split], half[split:]
-    centre = optimize(Circuit(n, invert_gates(head) + diag_gates + head), opt_level).gates
+    window = Circuit(n, invert_gates(head) + diag_gates + head)
+    if opt_level is OptLevel.FULL:
+        window = strip_conjugate_controls(window)
+    centre = optimize(window, opt_level).gates
     gates = invert_gates(rest) + centre + rest if centre else ()
     return Circuit(n, gates, global_phase=phase), result
 

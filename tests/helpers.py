@@ -20,6 +20,7 @@ from hermsynth.jacobi import (
     snap_signs,
 )
 from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
+from hermsynth.optimize import cancel_adjacent_inverses, strip_conjugate_controls
 from hermsynth.twolevel import emit_two_level, gray_path
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -230,11 +231,24 @@ def emit_two_level_gray(step: RotationStep, n: int) -> tuple[Gate, ...]:
 def assemble_whole(result: JacobiResult, n: int) -> Circuit:
     """W^dagger, the sign diagonal, then W, unoptimized: the forward
     factors of the steps in reverse order, each step emitted once, and
-    their inverse. ``optimize`` of this circuit is the reference that
+    their inverse. ``optimize`` of this circuit at NONE and BASIC, and
+    :func:`full_rounds_reference` of it at FULL, are the references that
     ``build_circuit``'s half-plus-centre build must equal gate for gate."""
     diag_gates, phase = synthesize_sign_diagonal(result.signs)
     forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
     return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)
+
+
+def full_rounds_reference(circuit: Circuit) -> Circuit:
+    """Strip then cancel over the whole circuit, repeated until a round
+    returns its input. ``build_circuit`` strips only its centre window, so
+    where it equals this, the strip rule matched nowhere else."""
+    current = circuit
+    while True:
+        step = cancel_adjacent_inverses(strip_conjugate_controls(current))
+        if step.gates == current.gates:
+            return step
+        current = step
 
 
 # --- reference for the simulator ---------------------------------------------

@@ -136,6 +136,11 @@ class TestSynth:
     def test_no_convergence_exit(self, ch_file):
         assert main(["synth", ch_file, "--max-sweeps", "0"]) == 4
 
+    def test_negative_max_sweeps_exit(self, ch_file, cz_file, capsys):
+        for path in (ch_file, cz_file):
+            assert main(["synth", path, "--max-sweeps", "-3"]) == 3
+            assert "max_sweeps must be >= 0, got -3" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert main(["synth", "/nonexistent/in.txt"]) == 2
 

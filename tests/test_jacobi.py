@@ -217,6 +217,12 @@ class TestDiagonalize:
         with pytest.raises(NoConvergence):
             diagonalize(CH_EMBED, max_sweeps=0)
 
+    @pytest.mark.parametrize("h", [CH_EMBED, CZ_EMBED], ids=["ch", "diagonal"])
+    def test_rejects_negative_max_sweeps(self, h):
+        # not a convergence failure, and not a pass on an already diagonal input
+        with pytest.raises(ValueError, match="^max_sweeps must be >= 0, got -1$"):
+            diagonalize(h, max_sweeps=-1)
+
     def test_snap_succeeds_for_hermitian_unitaries(self):
         # both predicates true implies the sign snap goes through
         h = random_hermitian_unitary(RNG, 8)

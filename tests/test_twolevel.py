@@ -11,11 +11,14 @@ from helpers import (
     HADAMARD,
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     assemble_whole,
     block_direct_sum,
     emit_two_level_gray,
+    full_rounds_reference,
     phased_involution,
     random_hermitian_unitary,
+    random_unitary,
     two_level_matrix,
 )
 from hermsynth import twolevel
@@ -326,9 +329,14 @@ def near_identity(sign: float, n: int) -> np.ndarray:
     return sign * np.eye(1 << n) + 2e-12 * (a + a.conj().T)
 
 
-def controlled_u(u: np.ndarray, k: int) -> np.ndarray:
+def controlled_u(u: np.ndarray, k: int, target: int | None = None, negative=()) -> np.ndarray:
+    """C^k U on k + 1 qubits: U acts on ``target`` (default: the last
+    wire) when each other qubit is 1, or 0 for the qubits in ``negative``."""
+    target = k if target is None else target
+    bit = 1 << (k - target)
+    on = sum(1 << (k - q) for q in range(k + 1) if q != target and q not in negative)
     h = np.eye(2 << k, dtype=complex)
-    h[-2:, -2:] = u
+    h[np.ix_([on, on | bit], [on, on | bit])] = u
     return h
 
 
@@ -349,6 +357,14 @@ def build_inputs():
         cases += [(f"C{k}{name}", controlled_u(u, k)) for k in (1, 2, 4)]
     cases += [(f"kron{n}", kron_input(rng, n)) for n in (2, 3, 4)]
     cases += [(f"near{s:+d}I{n}", near_identity(s, n)) for s in (1, -1) for n in (2, 3)]
+    # C^k U with the target off the last wire or a negative control. The
+    # FULL reference strips wherever the rule matches, build_circuit only
+    # in the centre window, so the two agree only if it matches nowhere else.
+    v = random_unitary(np.random.default_rng(11), 2)
+    for name, u in (("H", HADAMARD), ("R", v @ PAULI_Z @ v.conj().T)):
+        for k in (2, 3):
+            cases += [(f"C{k}{name}top", controlled_u(u, k, target=0)),
+                      (f"C{k}{name}neg", controlled_u(u, k, negative=(0,)))]
     return cases
 
 
@@ -357,15 +373,20 @@ BUILD_INPUTS = build_inputs()
 
 class TestBuildCircuit:
     """``build_circuit`` optimizes the forward half and the window around
-    the centre; its circuit must equal ``optimize`` of the whole assembled
-    W^dagger D W gate for gate (tests/helpers.assemble_whole)."""
+    the centre, and strips controls at FULL in that window only; its
+    circuit must equal the whole assembled W^dagger D W
+    (tests/helpers.assemble_whole) gate for gate, optimized by ``optimize``
+    at NONE and BASIC and by the strip-and-cancel fixpoint at FULL."""
 
     @pytest.mark.parametrize("level", list(OptLevel), ids=lambda lv: lv.value)
     @pytest.mark.parametrize("name, h", BUILD_INPUTS, ids=[name for name, _ in BUILD_INPUTS])
     def test_equals_whole_circuit_optimized(self, name, h, level):
         circuit, result = build_circuit(h, level)
-        n = circuit.n_qubits
-        expected = optimize(assemble_whole(result, n), level)
+        whole = assemble_whole(result, circuit.n_qubits)
+        if level is OptLevel.FULL:
+            expected = full_rounds_reference(whole)
+        else:
+            expected = optimize(whole, level)
         assert circuit.gates == expected.gates
         assert circuit.global_phase == expected.global_phase
         assert serialize(circuit) == serialize(expected)
