@@ -3,9 +3,10 @@
 The pipeline: complex Jacobi rotations diagonalize a Hermitian unitary into
 an ordered rotation log plus a +/-1 sign diagonal; each rotation becomes
 multi-controlled RY/PHASE gates via gray-code ladders; the diagonal becomes
-multi-controlled Z gates through its GF(2) normal form; a pass cancels
-inverse pairs, and at the centre of the circuit redundant controls are
-stripped. Everything is verified by dense simulation.
+multi-controlled Z gates through its GF(2) normal form; one pass cancels
+inverse pairs in the forward half and again at the centre of the circuit,
+where redundant controls are first stripped. Everything is verified by
+dense simulation.
 
 Bit convention throughout: qubit 0 is the MOST significant bit of a
 basis-state index (the top wire).
@@ -55,7 +56,6 @@ from .matrices import (
     save_matrix,
 )
 from .optimize import (
-    OptLevel,
     cancel_adjacent_inverses,
     rewrite_cz_cnot,
     strip_conjugate_controls,

@@ -1,8 +1,8 @@
 """Command-line front end for the synthesis pipeline.
 
 Exit codes: 0 success, 2 parse/file error, 3 precondition violation
-(not Hermitian, not unitary, bad dimension, +/-I input, too large to
-simulate densely), 4 no convergence, 5 verification failure.
+(not Hermitian, not unitary, bad dimension, a +/-I gate for ``baseline``,
+too large to simulate densely), 4 no convergence, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .circuit import counts, gate_matrix, GateKind, load_circuit, save_circuit, 
 from .errors import NoConvergence, ParseError, SynthesisError, VerificationFailed
 from .matrices import DEFAULT_TOLERANCES, format_matrix, load_matrix
 from .matrices import max_abs_diff  # noqa: F401  (bench/tracing.py rebinds cli.max_abs_diff)
-from .optimize import OptLevel, rewrite_cz_cnot
+from .optimize import rewrite_cz_cnot
 from .twolevel import SynthesisReport, build_circuit, circuit_error, verified_report
 
 _EXIT_OK = 0
@@ -36,13 +36,12 @@ _EPILOG = """\
 exit codes:
   0  success
   2  unreadable or malformed input file
-  3  precondition violation (not Hermitian, not unitary, bad dimension, +/-I,
-     too large to simulate densely)
+  3  precondition violation (not Hermitian, not unitary, bad dimension,
+     a +/-I gate for baseline, too large to simulate densely)
   4  no convergence within the sweep limit
   5  verification failure
 """
 
-_OPT_LEVELS = {"none": OptLevel.NONE, "basic": OptLevel.BASIC, "full": OptLevel.FULL}
 _NAMED_GATES = {"H": GateKind.H, "X": GateKind.X, "Y": GateKind.Y, "Z": GateKind.Z}
 
 
@@ -53,7 +52,6 @@ def _counts_lines(hist: dict[str, int]) -> list[str]:
 def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
     lines = [
         f"qubits: {n}",
-        f"opt_level: {report.opt_level.value}",
         f"library: {library}",
         f"sweeps: {report.sweeps}",
         f"rotations_executed: {report.rotations_executed}",
@@ -69,11 +67,10 @@ def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
 
 def cmd_synth(args) -> int:
     matrix = load_matrix(args.matrix)
-    opt_level = _OPT_LEVELS[args.opt]
-    circuit, result = build_circuit(matrix, opt_level=opt_level, max_sweeps=args.max_sweeps)
+    circuit, result = build_circuit(matrix, max_sweeps=args.max_sweeps)
     if args.lib == "cnot":
         circuit = rewrite_cz_cnot(circuit, "cnot")
-    report = verified_report(circuit, matrix, result, opt_level)
+    report = verified_report(circuit, matrix, result)
     if args.out:
         save_circuit(args.out, circuit)
     else:
@@ -161,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="decompose a matrix file into a circuit")
     p.add_argument("matrix", help="path to a matrix text file")
-    p.add_argument("--opt", choices=["none", "basic", "full"], default="full")
     p.add_argument("--lib", choices=["cz", "cnot"], default="cz")
     p.add_argument("--max-sweeps", type=int, default=30)
     p.add_argument("--out", help="write the circuit here instead of stdout")

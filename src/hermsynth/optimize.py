@@ -9,27 +9,20 @@ The strip pass is structural too and reads no tolerance: it removes the
 controls of a conjugate pair B ... A around a controlled diagonal block
 only when A is literally ``invert_gates(B)``. On seeded dense, sparse,
 controlled-U and Kronecker inputs, a numeric test of the 2x2 product A.B
-for the identity stripped exactly the runs this one strips. ``optimize``
-does not run it: ``build_circuit`` applies it once, at ``OptLevel.FULL``,
-to the window around the sign diagonal. Over the benchmark workloads'
-pools (seeds 1-3) and 260 C^(n-1) U inputs it tried 732,954 runs on the
-forward half W and stripped none; in the centre window it strips C^k U
-with the target on the last wire and positive controls.
+for the identity stripped exactly the runs this one strips.
+``build_circuit`` applies it once, to the window around the sign diagonal,
+and runs the cancel pass on that window and on the forward half W. Over
+the benchmark workloads' pools (seeds 1-3) and 260 C^(n-1) U inputs it
+tried 732,954 runs on W and stripped none; in the centre window it strips
+C^k U with the target on the last wire and positive controls.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import groupby
 
 from .circuit import Circuit, Gate, GateKind, invert_gates
 from .matrices import HALF_PI
-
-
-class OptLevel(Enum):
-    NONE = "none"
-    BASIC = "basic"
-    FULL = "full"
 
 
 def _same_site(g1: Gate, g2: Gate) -> bool:
@@ -138,14 +131,3 @@ def rewrite_cz_cnot(circuit: Circuit, target_lib: str) -> Circuit:
     return cancel_adjacent_inverses(
         Circuit(circuit.n_qubits, tuple(out), circuit.global_phase)
     )
-
-
-def optimize(circuit: Circuit, level: OptLevel = OptLevel.FULL) -> Circuit:
-    """None: identity. Basic and Full: one cancellation pass.
-
-    Full differs from Basic only in ``build_circuit``, which applies
-    :func:`strip_conjugate_controls` to the centre window of W^dagger D W.
-    """
-    if level is OptLevel.NONE:
-        return circuit
-    return cancel_adjacent_inverses(circuit)

@@ -18,7 +18,9 @@ from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
 from .matrices import DEFAULT_TOLERANCES, max_abs_diff
-from .optimize import OptLevel, optimize, strip_conjugate_controls
+# ``optimize`` is the one cancel pass build_circuit runs; bench/tracing.py
+# times it under this name.
+from .optimize import cancel_adjacent_inverses as optimize, strip_conjugate_controls
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class SynthesisReport:
     sweep_residuals: tuple[float, ...]  # off-diagonal norm after each sweep
     residual_offnorm: float
     verify_error: float
-    opt_level: OptLevel
 
 
 def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
@@ -116,41 +117,37 @@ def _site_run(gates) -> int:
     return end
 
 
-def build_circuit(
-    h, opt_level: OptLevel = OptLevel.FULL, max_sweeps: int = 30
-) -> tuple[Circuit, JacobiResult]:
+def build_circuit(h, max_sweeps: int = 30) -> tuple[Circuit, JacobiResult]:
     """The first step of :func:`synthesize`: diagonalize ``h``, then build
     W^dagger D W, optimized, from the forward half. The circuit is not yet
     verified.
 
     W is the forward factors of the steps in reverse order, each step
-    emitted once, and D the sign diagonal. ``optimize`` runs on W alone,
+    emitted once, and D the sign diagonal. ``optimize``, the cancel pass
+    :func:`hermsynth.optimize.cancel_adjacent_inverses`, runs on W alone,
     giving head + rest with ``head`` its leading run on one site. A pass
     over W^dagger D W only combines neighbouring gates on one site, so it
     can reach across the centre only within invert_gates(head) D head:
     every gate of W carries n-1 controls and W holds no Z, while D holds
     only Z, so no gate of ``rest`` shares a site with the window's ends or
-    combines with D. That window is optimized once more as the centre,
-    and the circuit is invert_gates(rest) + centre + rest. When the centre
-    cancels away (D is empty), invert_gates(rest) meets rest and cancels
-    gate for gate, so the circuit is empty.
-
-    At ``OptLevel.FULL`` the window first goes through
+    combines with D. That window goes through
     :func:`strip_conjugate_controls`, the one place the rule has matched
     (see :mod:`hermsynth.optimize`): with ``head`` a rotation core and D
-    one Z on its site, C^k U gets the paper's uncontrolled rotations.
+    one Z on its site, C^k U gets the paper's uncontrolled rotations. The
+    window is then optimized once more as the centre, and the circuit is
+    invert_gates(rest) + centre + rest. When the centre cancels away (D is
+    empty), invert_gates(rest) meets rest and cancels gate for gate, so
+    the circuit is empty.
     """
     result = diagonalize(h, max_sweeps)
     n = len(result.signs).bit_length() - 1
     diag_gates, phase = synthesize_sign_diagonal(result.signs)
     forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
-    half = optimize(Circuit(n, forward), opt_level).gates
+    half = optimize(Circuit(n, forward)).gates
     split = _site_run(half)
     head, rest = half[:split], half[split:]
-    window = Circuit(n, invert_gates(head) + diag_gates + head)
-    if opt_level is OptLevel.FULL:
-        window = strip_conjugate_controls(window)
-    centre = optimize(window, opt_level).gates
+    window = strip_conjugate_controls(Circuit(n, invert_gates(head) + diag_gates + head))
+    centre = optimize(window).gates
     gates = invert_gates(rest) + centre + rest if centre else ()
     return Circuit(n, gates, global_phase=phase), result
 
@@ -226,9 +223,7 @@ def verify_circuit(circuit: Circuit, h) -> float:
     return error
 
 
-def verified_report(
-    circuit: Circuit, h, result: JacobiResult, opt_level: OptLevel
-) -> SynthesisReport:
+def verified_report(circuit: Circuit, h, result: JacobiResult) -> SynthesisReport:
     """The second step of :func:`synthesize`: verify ``circuit`` against
     ``h`` with :func:`verify_circuit` and report on it."""
     return SynthesisReport(
@@ -239,14 +234,11 @@ def verified_report(
         sweep_residuals=result.sweep_residuals,
         residual_offnorm=result.residual,
         verify_error=verify_circuit(circuit, h),
-        opt_level=opt_level,
     )
 
 
-def synthesize(
-    h, opt_level: OptLevel = OptLevel.FULL, max_sweeps: int = 30
-) -> tuple[Circuit, SynthesisReport]:
+def synthesize(h, max_sweeps: int = 30) -> tuple[Circuit, SynthesisReport]:
     """Decompose a Hermitian unitary into a gate circuit and verify it:
     :func:`build_circuit`, then :func:`verified_report`."""
-    circuit, result = build_circuit(h, opt_level, max_sweeps)
-    return circuit, verified_report(circuit, h, result, opt_level)
+    circuit, result = build_circuit(h, max_sweeps)
+    return circuit, verified_report(circuit, h, result)

@@ -231,9 +231,10 @@ def emit_two_level_gray(step: RotationStep, n: int) -> tuple[Gate, ...]:
 def assemble_whole(result: JacobiResult, n: int) -> Circuit:
     """W^dagger, the sign diagonal, then W, unoptimized: the forward
     factors of the steps in reverse order, each step emitted once, and
-    their inverse. ``optimize`` of this circuit at NONE and BASIC, and
-    :func:`full_rounds_reference` of it at FULL, are the references that
-    ``build_circuit``'s half-plus-centre build must equal gate for gate."""
+    their inverse. :func:`full_rounds_reference` of this circuit is the
+    reference that ``build_circuit``'s half-plus-centre build must equal
+    gate for gate; the circuit itself is the build with no pass run, and
+    ``cancel_adjacent_inverses`` of it the build without the strip pass."""
     diag_gates, phase = synthesize_sign_diagonal(result.signs)
     forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
     return Circuit(n, invert_gates(forward) + diag_gates + forward, global_phase=phase)

@@ -44,9 +44,39 @@ class TestSynth:
 
     def test_ch_full_opt(self, ch_file, tmp_path):
         out = tmp_path / "c.circ"
-        code = main(["synth", ch_file, "--opt", "full", "--out", str(out)])
+        code = main(["synth", ch_file, "--out", str(out)])
         assert code == 0
         assert len(load_circuit(out).gates) == 3
+
+    def test_no_opt_flag(self, ch_file, capsys):
+        # one optimization policy: synth takes no optimization level
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", ch_file, "--opt", "full"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --opt full" in capsys.readouterr().err
+
+    def test_report_keys(self, ch_file, tmp_path):
+        report = tmp_path / "r.txt"
+        out = tmp_path / "c.circ"
+        assert main(["synth", ch_file, "--out", str(out), "--report", str(report)]) == 0
+        keys = [line.split(": ", 1)[0] for line in report.read_text().splitlines()]
+        assert keys == [
+            "qubits", "library", "sweeps", "rotations_executed", "sweep_rotations",
+            "sweep_residuals", "residual_offnorm", "verify_error", "gates_total",
+            "count_CZ", "count_single",
+        ]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_plus_minus_identity_is_the_empty_circuit(self, tmp_path, capsys, sign):
+        # +/-I is no precondition violation for synth: no gates, and the
+        # sign as the global phase
+        path = tmp_path / "i.txt"
+        save_matrix(path, sign * np.eye(2))
+        assert main(["synth", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"qubits 1\nphase {sign},0\nqubits: 1\n")
+        assert "gate " not in out
+        assert "gates_total: 0\n" in out
 
     def test_cnot_library(self, ch_file, tmp_path):
         out = tmp_path / "c.circ"
@@ -342,6 +372,13 @@ class TestBaseline:
         path = tmp_path / "i.txt"
         save_matrix(path, np.eye(2))
         assert main(["baseline", "--gate", str(path), "--method", "jacobi"]) == 3
+
+    def test_minus_identity_rejected(self, tmp_path, capsys):
+        # -I has no rotation form either, unlike for synth (exit 0)
+        path = tmp_path / "mi.txt"
+        save_matrix(path, -np.eye(2))
+        assert main(["baseline", "--gate", str(path)]) == 3
+        assert capsys.readouterr().err == "error: matrix is -I\n"
 
     def test_multi_control(self, capsys):
         assert main(["baseline", "--gate", "H", "--method", "jacobi", "--controls", "3"]) == 0

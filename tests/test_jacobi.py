@@ -27,11 +27,13 @@ from hermsynth.errors import (
     NoConvergence,
     NotHermitian,
     NotUnitary,
+    RotationFailed,
     ZeroOffDiagonal,
 )
 from hermsynth.jacobi import (
     JacobiResult,
     RotationStep,
+    _rotate_inplace,
     diagonalize,
     rotation_params,
     snap_signs,
@@ -119,6 +121,14 @@ class TestApplyRotation:
             theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
             out = apply_rotation(h, RotationStep(p, q, theta, alpha))
             assert np.max(np.abs(charpoly_coeffs(h) - charpoly_coeffs(out))) < 1e-10
+
+    def test_wrong_angle_raises_rotation_failed(self):
+        # X needs theta = +/-pi/2 at (0, 1); theta = 0.3 leaves the pivot at cos(0.3)
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+        message = r"^pivot \(0, 1\) still 9\.553e-01 after rotation$"
+        with pytest.raises(RotationFailed, match=message):
+            _rotate_inplace(m, RotationStep(0, 1, 0.3, 0.0), 1e-12)
+        assert abs(m[0, 1]) == pytest.approx(math.cos(0.3))
 
 
 class TestOrderings:

@@ -23,9 +23,7 @@ from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gate, inve
 from hermsynth.jacobi import diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import (
-    OptLevel,
     cancel_adjacent_inverses,
-    optimize,
     rewrite_cz_cnot,
     strip_conjugate_controls,
 )
@@ -194,14 +192,8 @@ class TestRewriteCzCnot:
 
 
 class TestOptimize:
-    def test_none_is_identity(self):
-        c = random_circuit(RNG, 2, 8)
-        assert optimize(c, OptLevel.NONE) is c
-
-    def test_full_equals_basic(self):
-        # the strip rule runs only in build_circuit, on the centre window
-        c = Circuit(2, (cry(math.pi / 4), CZ, cry(-math.pi / 4)))
-        assert optimize(c, OptLevel.FULL).gates == optimize(c, OptLevel.BASIC).gates
+    """The cancel pass as ``build_circuit`` runs it, under the name
+    ``optimize``, on whole circuits."""
 
     def test_already_minimal_unchanged(self):
         gates = (
@@ -209,21 +201,20 @@ class TestOptimize:
             CZ,
             Gate(GateKind.RY, 1, (), -math.pi / 4),
         )
-        out = optimize(Circuit(2, gates), OptLevel.FULL)
+        out = cancel_adjacent_inverses(Circuit(2, gates))
         assert out.gates == gates
 
-    @pytest.mark.parametrize("level", [OptLevel.BASIC, OptLevel.FULL])
-    def test_sound_and_idempotent(self, level):
+    def test_sound_and_idempotent(self):
         for _ in range(150):
             c = random_circuit(RNG, 4, 30)
-            out = optimize(c, level)
+            out = cancel_adjacent_inverses(c)
             assert max_abs_diff(simulate(out), simulate(c)) < 1e-12
-            again = optimize(out, level)
+            again = cancel_adjacent_inverses(out)
             assert again.gates == out.gates
 
     def test_global_phase_untouched(self):
         c = Circuit(2, (CZ, CZ), global_phase=-1j)
-        out = optimize(c, OptLevel.FULL)
+        out = cancel_adjacent_inverses(c)
         assert out.global_phase == -1j
 
 
@@ -242,7 +233,7 @@ class TestFullLoop:
         for seed in range(3 if n < 5 else 1):
             c = assembled(n, 100 * n + seed)
             expected = full_rounds_reference(c)
-            out = optimize(c, OptLevel.FULL)
+            out = cancel_adjacent_inverses(c)
             assert out.gates == expected.gates
             assert out.global_phase == expected.global_phase
 
@@ -380,7 +371,7 @@ HERMITIAN_BUILDERS = {
 
 
 class TestEmittedCircuits:
-    """optimize on what the synthesizer emits, not on random gate lists."""
+    """The passes on what the synthesizer emits, not on random gate lists."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -392,6 +383,6 @@ class TestEmittedCircuits:
         h = HERMITIAN_BUILDERS[builder](np.random.default_rng(seed), n)
         c = assemble_whole(diagonalize(h), n)
         strip_rounds_agree(c)
-        out = optimize(c, OptLevel.FULL)
+        out = cancel_adjacent_inverses(c)
         assert max_abs_diff(simulate(out), simulate(c)) < 1e-12
-        assert optimize(out, OptLevel.FULL).gates == out.gates
+        assert cancel_adjacent_inverses(out).gates == out.gates

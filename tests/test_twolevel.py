@@ -27,7 +27,7 @@ from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import IndexOutOfRange, VerificationFailed
 from hermsynth.jacobi import RotationStep, diagonalize
 from hermsynth.matrices import max_abs_diff
-from hermsynth.optimize import OptLevel, optimize
+from hermsynth.optimize import cancel_adjacent_inverses
 from hermsynth.twolevel import (
     build_circuit,
     circuit_error,
@@ -187,8 +187,9 @@ class TestSiteDerivedGates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dense_inputs(self, n):
         h = random_hermitian_unitary(np.random.default_rng(60 + n), 1 << n)
-        for level in (OptLevel.FULL, OptLevel.NONE):
-            self.assert_validated_twins(synthesize(h, opt_level=level)[0])
+        circuit, _ = synthesize(h)
+        self.assert_validated_twins(circuit)
+        self.assert_validated_twins(assemble_whole(diagonalize(h), n))
 
     @pytest.mark.parametrize("u", [HADAMARD, PAULI_X, PAULI_Y], ids=["H", "X", "Y"])
     def test_native_controlled_u(self, u):
@@ -240,7 +241,7 @@ class TestSynthesize:
         assert report.verify_error <= 1e-12
 
     def test_ch_unoptimized_shape(self):
-        circuit, _ = synthesize(CH_EMBED, opt_level=OptLevel.NONE)
+        circuit = assemble_whole(diagonalize(CH_EMBED), 2)
         kinds = [(g.kind, g.param) for g in circuit.gates]
         assert kinds[0][0] is GateKind.RY and kinds[0][1] == pytest.approx(math.pi / 4)
         assert circuit.gates[0].controls == ((0, True),)
@@ -285,19 +286,23 @@ class TestSynthesize:
     def test_controlled_ry_budget(self):
         # two controlled RY gates per executed rotation before optimization
         h = random_hermitian_unitary(RNG, 8)
-        circuit, report = synthesize(h, opt_level=OptLevel.NONE)
+        result = diagonalize(h)
+        circuit = assemble_whole(result, 3)
         n_ry = sum(1 for g in circuit.gates if g.kind is GateKind.RY)
-        assert n_ry == 2 * report.rotations_executed
+        assert n_ry == 2 * len(result.steps)
 
-    def test_unoptimized_is_mirrored_rotations_around_diagonal(self):
-        # W^dagger D W, with W the forward factors of the steps in reverse order
+    def test_unoptimized_is_mirrored_rotations_around_diagonal(self, monkeypatch):
+        # W^dagger D W, with W the forward factors of the steps in reverse
+        # order: build_circuit with its passes knocked out, and assemble_whole
         h = random_hermitian_unitary(RNG, 8)
         result = diagonalize(h)
         forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, 3))
         diag_gates, phase = synthesize_sign_diagonal(result.signs)
-        circuit, _ = synthesize(h, opt_level=OptLevel.NONE)
+        knock_out_passes(monkeypatch, "none")
+        circuit, _ = build_circuit(h)
         assert circuit.gates == invert_gates(forward) + diag_gates + forward
         assert circuit.global_phase == phase
+        assert assemble_whole(result, 3) == circuit
 
     def test_minus_identity_global_phase(self):
         circuit, report = synthesize(-np.eye(4))
@@ -311,7 +316,6 @@ class TestSynthesize:
         assert report.sweeps >= 1
         assert report.residual_offnorm <= 1e-12 * 4
         assert sum(report.gate_counts.values()) == len(circuit.gates)
-        assert report.opt_level is OptLevel.FULL
 
 
 class TestVerifyCircuit:
@@ -358,7 +362,7 @@ def build_inputs():
     cases += [(f"kron{n}", kron_input(rng, n)) for n in (2, 3, 4)]
     cases += [(f"near{s:+d}I{n}", near_identity(s, n)) for s in (1, -1) for n in (2, 3)]
     # C^k U with the target off the last wire or a negative control. The
-    # FULL reference strips wherever the rule matches, build_circuit only
+    # full_rounds_reference strips wherever the rule matches, build_circuit only
     # in the centre window, so the two agree only if it matches nowhere else.
     v = random_unitary(np.random.default_rng(11), 2)
     for name, u in (("H", HADAMARD), ("R", v @ PAULI_Z @ v.conj().T)):
@@ -370,23 +374,41 @@ def build_inputs():
 
 BUILD_INPUTS = build_inputs()
 
+# The passes build_circuit runs, and the whole-circuit reference its
+# half-plus-centre build must equal with only those passes in place.
+PASSES = {
+    "none": lambda c: c,
+    "basic": cancel_adjacent_inverses,
+    "full": full_rounds_reference,
+}
+
+
+def knock_out_passes(monkeypatch, passes: str) -> None:
+    """Replace by the identity the passes that ``passes`` leaves out:
+    "none" keeps neither, "basic" keeps only the cancel pass, "full" both."""
+    identity = PASSES["none"]
+    if passes == "none":
+        monkeypatch.setattr(twolevel, "optimize", identity)
+    if passes != "full":
+        monkeypatch.setattr(twolevel, "strip_conjugate_controls", identity)
+
 
 class TestBuildCircuit:
     """``build_circuit`` optimizes the forward half and the window around
-    the centre, and strips controls at FULL in that window only; its
-    circuit must equal the whole assembled W^dagger D W
-    (tests/helpers.assemble_whole) gate for gate, optimized by ``optimize``
-    at NONE and BASIC and by the strip-and-cancel fixpoint at FULL."""
+    the centre, and strips controls in that window only; its circuit must
+    equal the whole assembled W^dagger D W (tests/helpers.assemble_whole)
+    gate for gate, put through the strip-and-cancel fixpoint. With the
+    strip pass or both passes knocked out, it must equal the whole circuit
+    after one cancel pass or as assembled: the half-plus-centre build is
+    held to the whole circuit apart from what the passes do."""
 
-    @pytest.mark.parametrize("level", list(OptLevel), ids=lambda lv: lv.value)
+    @pytest.mark.parametrize("passes", list(PASSES))
     @pytest.mark.parametrize("name, h", BUILD_INPUTS, ids=[name for name, _ in BUILD_INPUTS])
-    def test_equals_whole_circuit_optimized(self, name, h, level):
-        circuit, result = build_circuit(h, level)
+    def test_equals_whole_circuit_optimized(self, name, h, passes, monkeypatch):
+        knock_out_passes(monkeypatch, passes)
+        circuit, result = build_circuit(h)
         whole = assemble_whole(result, circuit.n_qubits)
-        if level is OptLevel.FULL:
-            expected = full_rounds_reference(whole)
-        else:
-            expected = optimize(whole, level)
+        expected = PASSES[passes](whole)
         assert circuit.gates == expected.gates
         assert circuit.global_phase == expected.global_phase
         assert serialize(circuit) == serialize(expected)
@@ -396,18 +418,18 @@ class TestBuildCircuit:
         [(1, 2, 9, 2, 46), (-1, 2, 9, 2, 46), (1, 3, 47, 2, 318), (-1, 3, 47, 2, 318)],
     )
     def test_centre_cancels_away(self, sign, n, rotations, sweeps, gates_none):
-        # rotations run, the sign diagonal is empty, and at BASIC and FULL
-        # the two halves cancel to the empty circuit
+        # rotations run, the sign diagonal is empty, and the two halves
+        # of the assembled circuit cancel to the empty circuit
         h = near_identity(sign, n)
-        for level in OptLevel:
-            circuit, report = synthesize(h, level)
-            assert report.rotations_executed == rotations
-            assert report.sweeps == sweeps
-            assert circuit.global_phase == sign
-            expected = gates_none if level is OptLevel.NONE else 0
-            assert len(circuit.gates) == expected
-            assert report.verify_error <= 1e-11
-        assert synthesize_sign_diagonal(diagonalize(h).signs) == ((), sign)
+        circuit, report = synthesize(h)
+        assert report.rotations_executed == rotations
+        assert report.sweeps == sweeps
+        assert circuit.global_phase == sign
+        assert circuit.gates == ()
+        assert report.verify_error <= 1e-11
+        result = diagonalize(h)
+        assert len(assemble_whole(result, n).gates) == gates_none
+        assert synthesize_sign_diagonal(result.signs) == ((), sign)
 
 
 def site(n, kind, target, mask, polarity, angle):
