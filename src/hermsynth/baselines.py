@@ -65,15 +65,6 @@ def h2_params(u) -> H2Params:
     return H2Params(theta, alpha)
 
 
-def _phase_gate(angle: float, target: int) -> Gate:
-    """PHASE(angle) with the named S / SDG kinds for +/- pi/2."""
-    if abs(angle - HALF_PI) <= _ANGLE_EPS:
-        return Gate(GateKind.S, target)
-    if abs(angle + HALF_PI) <= _ANGLE_EPS:
-        return Gate(GateKind.SDG, target)
-    return Gate(GateKind.PHASE, target, (), angle)
-
-
 def jacobi_cu(params: H2Params, k: int) -> Circuit:
     """Controlled Hermitian gate as rotations conjugating one C^k Z, on
     k + 1 wires: positive controls on wires 0..k-1, the target on wire k.
@@ -90,35 +81,37 @@ def jacobi_cu(params: H2Params, k: int) -> Circuit:
     theta, alpha = params.theta, params.alpha
     gates: list[Gate] = []
     if abs(alpha) > _ANGLE_EPS:
-        gates.append(_phase_gate(-alpha, target))
+        gates.append(Gate(GateKind.PHASE, target, (), -alpha))
     if abs(theta) > _ANGLE_EPS:
         gates.append(Gate(GateKind.RY, target, (), theta))
     gates.append(Gate(GateKind.Z, target, controls))
     if abs(theta) > _ANGLE_EPS:
         gates.append(Gate(GateKind.RY, target, (), -theta))
     if abs(alpha) > _ANGLE_EPS:
-        gates.append(_phase_gate(alpha, target))
+        gates.append(Gate(GateKind.PHASE, target, (), alpha))
     return Circuit(k + 1, tuple(gates))
 
 
 def barenco_cu(params: H2Params) -> Circuit:
     """CNOT-based conjugation on two qubits (control 0, target 1).
 
-    Time order: RZ(-alpha), RY(theta - pi/2), CNOT, RY(pi/2 - theta),
-    RZ(alpha) on the target. The identity is phase exact.
+    Time order: PHASE(-alpha), RY(theta - pi/2), CNOT, RY(pi/2 - theta),
+    PHASE(alpha) on the target. The ABC form's pair RZ(-alpha), RZ(alpha)
+    is this PHASE pair times the global phases e^{i alpha/2} and
+    e^{-i alpha/2}, which cancel, so the identity is phase exact.
     """
     theta, alpha = params.theta, params.alpha
     tilt = theta - HALF_PI
     gates: list[Gate] = []
     if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RZ, 1, (), -alpha))
+        gates.append(Gate(GateKind.PHASE, 1, (), -alpha))
     if abs(tilt) > _ANGLE_EPS:
         gates.append(Gate(GateKind.RY, 1, (), tilt))
     gates.append(Gate(GateKind.X, 1, ((0, True),)))
     if abs(tilt) > _ANGLE_EPS:
         gates.append(Gate(GateKind.RY, 1, (), -tilt))
     if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RZ, 1, (), alpha))
+        gates.append(Gate(GateKind.PHASE, 1, (), alpha))
     return Circuit(2, tuple(gates))
 
 
@@ -139,9 +132,11 @@ def qsd_cu(params: H2Params) -> Circuit:
     """Single-select-qubit multiplexer form on two qubits (control 0, target 1).
 
     The middle diag(S, S^dag) block expands into two CNOTs with control on
-    the target wire plus RZ corrections on the control wire. For a real
-    gate the leading literal is kept; a complex off-diagonal folds the
-    literal and the trailing S into the phase corrections via
+    the target wire plus PHASE corrections on the control wire (S is
+    PHASE(pi/2); the textbook form's pair RZ(-3pi/2), RZ(3pi/2) is this
+    PHASE pair up to global phases that cancel). For a real gate the
+    leading literal is kept; a complex off-diagonal folds the literal and
+    the trailing S into the phase corrections via
     S RY(t) PHASE(-a) h2(t, a) = PHASE(-pi/2) RY(t) PHASE(-a).
     """
     theta, alpha = params.theta, params.alpha
@@ -149,24 +144,24 @@ def qsd_cu(params: H2Params) -> Circuit:
     rotated = abs(theta) > _ANGLE_EPS
     gates: list[Gate] = []
     if phased:
-        gates.append(_phase_gate(-alpha, 1))
+        gates.append(Gate(GateKind.PHASE, 1, (), -alpha))
         if rotated:
             gates.append(Gate(GateKind.RY, 1, (), theta))
-        gates.append(Gate(GateKind.SDG, 1))
+        gates.append(Gate(GateKind.PHASE, 1, (), -HALF_PI))
     else:
         gates.extend(_real_literal(theta))
         if rotated:
             gates.append(Gate(GateKind.RY, 1, (), theta))
-        gates.append(Gate(GateKind.S, 1))
+        gates.append(Gate(GateKind.PHASE, 1, (), HALF_PI))
     cnot_up = Gate(GateKind.X, 0, ((1, True),))
     gates.append(cnot_up)
-    gates.append(Gate(GateKind.RZ, 0, (), -1.5 * math.pi))
+    gates.append(Gate(GateKind.PHASE, 0, (), -1.5 * math.pi))
     gates.append(cnot_up)
     if rotated:
         gates.append(Gate(GateKind.RY, 1, (), -theta))
     if phased:
-        gates.append(_phase_gate(alpha, 1))
-    gates.append(Gate(GateKind.RZ, 0, (), 1.5 * math.pi))
+        gates.append(Gate(GateKind.PHASE, 1, (), alpha))
+    gates.append(Gate(GateKind.PHASE, 0, (), 1.5 * math.pi))
     return Circuit(2, tuple(gates))
 
 

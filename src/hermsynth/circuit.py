@@ -11,10 +11,10 @@ Every gate is one 2x2 block applied to the row pairs (i, j) its controls
 select: row i has the control bits and target bit 0, and j = i | target bit.
 ``simulate`` reads rows through one pending row permutation ``perm``, with
 row r of the running product stored at ``m[perm[r]]``. An X swaps
-``perm[i]`` and ``perm[j]`` and moves no data; a diagonal gate with u00 = 1
-(Z, S, SDG, PHASE) scales rows ``perm[j]`` alone; any other gate updates
-both rows by its 2x2 matrix. A gate with n-1 controls has one pair, any
-other gate 2^(n-1-k) pairs for its k controls.
+``perm[i]`` and ``perm[j]`` and moves no data; a diagonal gate (Z, PHASE;
+u00 = 1) scales rows ``perm[j]`` alone; any other gate updates both rows
+by its 2x2 matrix. A gate with n-1 controls has one pair, any other gate
+2^(n-1-k) pairs for its k controls.
 
 ``Gate(...)`` validates the whole gate and is the only way to give a gate a
 new site. Gates on the site of an existing gate (an inverse, a merged
@@ -45,10 +45,10 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 class GateKind(Enum):
     """Gate kinds with the algebra the optimizer and simulator use.
 
-    ``parametric`` kinds take an angle and invert by negating it; ``diagonal``
-    kinds are diagonal 2x2 matrices; ``entries`` is the fixed 2x2 matrix in
-    row-major order (None for parametric kinds); ``inverse`` is the kind of
-    the inverse gate (S and SDG swap, every other kind is its own).
+    ``parametric`` kinds take an angle and invert by negating it; every
+    fixed kind is its own inverse. ``diagonal`` kinds are diagonal 2x2
+    matrices with top-left entry 1. ``entries`` is the fixed 2x2 matrix in
+    row-major order (None for parametric kinds).
     """
 
     def __new__(cls, value, parametric, diagonal, entries=None):
@@ -57,21 +57,13 @@ class GateKind(Enum):
         member.parametric = parametric
         member.diagonal = diagonal
         member.entries = entries
-        member.inverse = member
         return member
 
     RY = "RY", True, False  # rotation about y, half-angle convention
     PHASE = "PHASE", True, True  # diag(1, e^{i a})
-    RZ = "RZ", True, True  # diag(e^{-i t/2}, e^{i t/2})
     X = "X", False, False, (0j, 1 + 0j, 1 + 0j, 0j)
-    Y = "Y", False, False, (0j, -1j, 1j, 0j)
     Z = "Z", False, True, (1 + 0j, 0j, 0j, -1 + 0j)
     H = "H", False, False, (complex(_SQRT1_2),) * 3 + (complex(-_SQRT1_2),)
-    S = "S", False, True, (1 + 0j, 0j, 0j, 1j)
-    SDG = "SDG", False, True, (1 + 0j, 0j, 0j, -1j)
-
-
-GateKind.S.inverse, GateKind.SDG.inverse = GateKind.SDG, GateKind.S
 
 
 def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
@@ -82,9 +74,7 @@ def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex,
     if kind is GateKind.RY:
         c, s = math.cos(param / 2.0), math.sin(param / 2.0)
         return complex(c), complex(s), complex(-s), complex(c)
-    if kind is GateKind.PHASE:
-        return 1 + 0j, 0j, 0j, cmath.exp(1j * param)
-    return cmath.exp(-0.5j * param), 0j, 0j, cmath.exp(0.5j * param)
+    return 1 + 0j, 0j, 0j, cmath.exp(1j * param)
 
 
 def gate_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
@@ -246,8 +236,11 @@ def simulate(circuit: Circuit) -> np.ndarray:
             continue
         u00, u01, u10, u11 = gate_entries(kind, gate.param)
         pj = perm[j]
-        if kind.diagonal and u00 == 1:
-            m[pj] = u11 * m[pj]  # out of place: ``*=`` rounds differently
+        if kind.diagonal:
+            # out of place, from a named row: ``*=``, and numpy's reuse of an
+            # unnamed fancy-indexed temporary, each round differently
+            row = m[pj]
+            m[pj] = u11 * row
             continue
         pi = perm[i]
         a, b = m[pi], m[pj]
@@ -258,12 +251,9 @@ def simulate(circuit: Circuit) -> np.ndarray:
 
 
 def invert_gate(gate: Gate) -> Gate:
-    kind = gate.kind
-    if kind.parametric:
-        return gate._on_site(kind, -gate.param)
-    if kind.inverse is kind:
-        return gate
-    return gate._on_site(kind.inverse, None)
+    if gate.kind.parametric:
+        return gate._on_site(gate.kind, -gate.param)
+    return gate
 
 
 def invert_gates(gates) -> tuple[Gate, ...]:
@@ -272,13 +262,13 @@ def invert_gates(gates) -> tuple[Gate, ...]:
 
 
 def counts(circuit: Circuit) -> dict[str, int]:
-    """Histogram over gate classes: CZ, CNOT, MCX, MCZ, MCRY, MCPHASE, MCH,
-    MCY and single.
+    """Histogram over gate classes: CZ, CNOT, MCX, MCZ, MCRY, MCPHASE, MCH
+    and single.
 
     Uncontrolled gates of every kind fall in the ``single`` bucket. A Z or X
-    with one control is CZ or CNOT, with more it is MCZ or MCX; phase-type
-    kinds (S, SDG, PHASE, RZ) with controls count as MCPHASE, and a
-    controlled H or Y as MCH or MCY, whatever its number of controls.
+    with one control is CZ or CNOT, with more it is MCZ or MCX; a PHASE
+    with controls counts as MCPHASE, and a controlled H as MCH, whatever
+    its number of controls.
     Gates are counted by (kind, number of controls) in one C-level pass,
     then each pair is added to its class; a class keeps the place of its
     first gate in the dict's order.
@@ -296,10 +286,6 @@ def counts(circuit: Circuit) -> dict[str, int]:
             key = "CZ" if k == 1 else "MCZ"
         elif kind is GateKind.X:
             key = "CNOT" if k == 1 else "MCX"
-        elif kind is GateKind.RY:
-            key = "MCRY"
-        elif kind.diagonal:
-            key = "MCPHASE"
         else:
             key = "MC" + value
         hist[key] = hist.get(key, 0) + count

@@ -42,7 +42,12 @@ exit codes:
   5  verification failure
 """
 
-_NAMED_GATES = {"H": GateKind.H, "X": GateKind.X, "Y": GateKind.Y, "Z": GateKind.Z}
+_NAMED_GATES = {
+    "H": gate_matrix(GateKind.H),
+    "X": gate_matrix(GateKind.X),
+    "Y": [[0, -1j], [1j, 0]],  # a literal: the IR has no Y kind
+    "Z": gate_matrix(GateKind.Z),
+}
 
 
 def _counts_lines(hist: dict[str, int]) -> list[str]:
@@ -113,7 +118,7 @@ def cmd_counts(args) -> int:
 
 def cmd_baseline(args) -> int:
     if args.gate in _NAMED_GATES:
-        matrix = gate_matrix(_NAMED_GATES[args.gate])
+        matrix = _NAMED_GATES[args.gate]
     else:
         matrix = load_matrix(args.gate)
     params = h2_params(matrix)

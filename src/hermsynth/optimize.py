@@ -32,7 +32,7 @@ def _same_site(g1: Gate, g2: Gate) -> bool:
 def _combine(g1: Gate, g2: Gate):
     """Outcome of the adjacent pair (g1 then g2): None cancels, Gate merges,
     False means no rule applies."""
-    if g2.kind is not g1.kind.inverse or not _same_site(g1, g2):
+    if g2.kind is not g1.kind or not _same_site(g1, g2):
         return False
     if not g1.kind.parametric:
         return None
@@ -43,10 +43,10 @@ def _combine(g1: Gate, g2: Gate):
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """Remove adjacent inverse pairs and merge adjacent same-axis rotations.
 
-    Handles RY(a)RY(-a), PHASE(a)PHASE(-a), RZ likewise, the self-inverse
-    kinds X, Y, Z, H, the S/SDG pair, and sums adjacent same-kind rotation
-    angles. Runs to a fixpoint in one forward scan: each gate combines with
-    the top of the already-reduced stack for as long as a rule applies.
+    Handles RY(a)RY(-a), PHASE(a)PHASE(-a), the self-inverse kinds X, Z
+    and H, and sums adjacent same-kind rotation angles. Runs to a fixpoint
+    in one forward scan: each gate combines with the top of the
+    already-reduced stack for as long as a rule applies.
     """
     out: list[Gate] = []
     for g in circuit.gates:
@@ -68,8 +68,8 @@ def _strip_run(run: tuple[Gate, ...]) -> list[Gate] | None:
     after it are tested for being ``invert_gates`` of the gates before it,
     literally: same length first, then gate for gate. The first block that
     passes wins. Its payloads lose their controls, since control-off states
-    then see A.B = I exactly: ``invert_gate`` negates angles and swaps S and
-    SDG, so each 2x2 factor meets its exact inverse.
+    then see A.B = I exactly: ``invert_gate`` negates angles and keeps the
+    self-inverse fixed kinds, so each 2x2 factor meets its exact inverse.
     """
     count = len(run)
     k = 0

@@ -154,15 +154,15 @@ def build_circuit(h, max_sweeps: int = 30) -> tuple[Circuit, JacobiResult]:
 
 def mirror_depth(gates) -> int:
     """The number k of leading gates that literally mirror the trailing
-    ones: for every i < k, ``gates[i]`` has the inverse kind, the same
-    target and controls, and the negated angle of ``gates[-1-i]``. The
-    first k gates then multiply to the inverse of the last k exactly."""
+    ones: for every i < k, ``gates[i]`` has the kind, the target, the
+    controls and the negated angle of ``gates[-1-i]``. The first k gates
+    then multiply to the inverse of the last k exactly."""
     last = len(gates) - 1
     k = 0
     while k < last - k:
         a, b = gates[k], gates[last - k]
         if (
-            a.kind is not b.kind.inverse
+            a.kind is not b.kind
             or a.target != b.target
             or a.controls != b.controls
             or (a.kind.parametric and a.param != -b.param)

@@ -72,14 +72,16 @@ def test_table1_closed_form_sequences():
 
     cy = jacobi_cu(h2_params(PAULI_Y), 1)
     assert [g.kind for g in cy.gates] == [
-        GateKind.SDG,
+        GateKind.PHASE,
         GateKind.RY,
         GateKind.Z,
         GateKind.RY,
-        GateKind.S,
+        GateKind.PHASE,
     ]
+    assert cy.gates[0].param == pytest.approx(-PI / 2, abs=1e-12)
     assert cy.gates[1].param == pytest.approx(PI / 2, abs=1e-12)
     assert cy.gates[3].param == pytest.approx(-PI / 2, abs=1e-12)
+    assert cy.gates[4].param == pytest.approx(PI / 2, abs=1e-12)
 
     cx = jacobi_cu(h2_params(PAULI_X), 1)
     assert [g.kind for g in cx.gates] == [GateKind.RY, GateKind.Z, GateKind.RY]

@@ -14,7 +14,7 @@ from hermsynth.baselines import (
     jacobi_cu,
     qsd_cu,
 )
-from hermsynth.circuit import Circuit, Gate, GateKind, counts, simulate
+from hermsynth.circuit import Circuit, Gate, GateKind, counts, parse, serialize, simulate
 from hermsynth.errors import IsPlusMinusIdentity, NotHermitianUnitary
 from hermsynth.matrices import max_abs_diff
 
@@ -85,9 +85,11 @@ class TestJacobiCu:
     def test_cy_sequence(self):
         c = jacobi_cu(h2_params(PAULI_Y), 1)
         kinds = [g.kind for g in c.gates]
-        assert kinds == [GateKind.SDG, GateKind.RY, GateKind.Z, GateKind.RY, GateKind.S]
+        assert kinds == [GateKind.PHASE, GateKind.RY, GateKind.Z, GateKind.RY, GateKind.PHASE]
+        assert c.gates[0].param == pytest.approx(-PI / 2, abs=1e-12)
         assert c.gates[1].param == pytest.approx(PI / 2, abs=1e-12)
         assert c.gates[3].param == pytest.approx(-PI / 2, abs=1e-12)
+        assert c.gates[4].param == pytest.approx(PI / 2, abs=1e-12)
 
     def test_cnot_sequence(self):
         c = jacobi_cu(h2_params(PAULI_X), 1)
@@ -139,8 +141,9 @@ class TestBarencoCu:
     def test_y_pattern(self):
         c = barenco_cu(h2_params(PAULI_Y))
         sig = gate_signature(c)
-        assert [k for k, _ in sig] == [GateKind.RZ, GateKind.X, GateKind.RZ]
+        assert [k for k, _ in sig] == [GateKind.PHASE, GateKind.X, GateKind.PHASE]
         assert sig[0][1] == pytest.approx(-PI / 2, abs=1e-12)
+        assert sig[2][1] == pytest.approx(PI / 2, abs=1e-12)
 
     def test_exact_up_to_phase_on_grid(self):
         for p in grid_params():
@@ -175,6 +178,14 @@ class TestQsdCu:
     def test_named_gates_exact(self, u):
         c = qsd_cu(h2_params(u))
         assert max_abs_diff(simulate(c), controlled_4x4(u)) < 1e-12
+
+
+class TestTextRoundTrip:
+    @pytest.mark.parametrize("u", [HADAMARD, PAULI_X, PAULI_Y, PAULI_Z])
+    def test_every_method_round_trips(self, u):
+        p = h2_params(u)
+        for c in (jacobi_cu(p, 1), jacobi_cu(p, 3), barenco_cu(p), qsd_cu(p)):
+            assert parse(serialize(c)) == c
 
 
 class TestFormulas:

@@ -475,9 +475,10 @@ def mutate(draw, form, lines):
     file malformed."""
     lines = list(lines)
     headers = HEADERS[form]
-    mutation = draw(st.sampled_from(
-        ["word", "nonfinite", "missing", "duplicate_header", "qubit", "short_row"]
-    ))
+    mutations = ["word", "nonfinite", "missing", "duplicate_header", "qubit", "short_row"]
+    if form == "circuit":
+        mutations.append("kind")
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "duplicate_header":
         header = lines[draw(st.integers(0, headers - 1))]
         lines.insert(draw(st.integers(0, len(lines))), header)
@@ -485,7 +486,7 @@ def mutate(draw, form, lines):
     if mutation == "qubit" and form == "matrix":  # the register size is the dimension
         lines[0] = f"dim {draw(st.sampled_from([-4, -1, 0, 2, 8]))}"
         return lines
-    i = draw(st.integers(headers if mutation == "qubit" else 0, len(lines) - 1))
+    i = draw(st.integers(headers if mutation in ("qubit", "kind") else 0, len(lines) - 1))
     line = lines[i]
     tokens = line.split()
     if mutation == "word":
@@ -502,6 +503,9 @@ def mutate(draw, form, lines):
         else:  # a required key
             key = draw(st.sampled_from(["target", "params"]))
             line = " ".join(t for t in tokens if t.partition("=")[0] != key)
+    elif mutation == "kind":  # a kind the IR does not have, on a line otherwise well formed
+        kind = draw(st.sampled_from(["S", "SDG", "RZ", "Y"]))
+        line = " ".join(["gate", kind, *tokens[2:-1], "params=0.3" if kind == "RZ" else "params="])
     elif mutation == "qubit":
         value = draw(st.sampled_from([-1, -3, 2, 7]))
         line = replace_span(draw, QUBIT, line, str(value))

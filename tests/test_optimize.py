@@ -21,7 +21,7 @@ from helpers import (
 )
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gate, invert_gates, simulate
 from hermsynth.jacobi import diagonalize
-from hermsynth.matrices import max_abs_diff
+from hermsynth.matrices import HALF_PI, max_abs_diff
 from hermsynth.optimize import (
     cancel_adjacent_inverses,
     rewrite_cz_cnot,
@@ -62,8 +62,19 @@ class TestCancelAdjacentInverses:
         assert c.gates == gates
 
     def test_s_sdg_pair(self):
-        c = cancel_adjacent_inverses(Circuit(1, (Gate(GateKind.S, 0), Gate(GateKind.SDG, 0))))
-        assert c.gates == ()
+        # S and S^dagger are written as PHASE(pi/2) and PHASE(-pi/2)
+        s, sdg = Gate(GateKind.PHASE, 0, (), HALF_PI), Gate(GateKind.PHASE, 0, (), -HALF_PI)
+        assert cancel_adjacent_inverses(Circuit(1, (s, sdg))).gates == ()
+        assert cancel_adjacent_inverses(Circuit(1, (sdg, s))).gates == ()
+
+    def test_fixed_kinds_self_cancel(self):
+        # every fixed kind is its own inverse; two different kinds never cancel
+        fixed = [kind for kind in GateKind if not kind.parametric]
+        for a in fixed:
+            for b in fixed:
+                gates = (Gate(a, 0), Gate(b, 0))
+                out = cancel_adjacent_inverses(Circuit(1, gates)).gates
+                assert out == (() if a is b else gates)
 
     def test_merge_same_axis(self):
         c = cancel_adjacent_inverses(
@@ -241,7 +252,7 @@ class TestFullLoop:
 # RY angles at which the off-diagonal entries sin(t/2) or cos(t/2) sit at
 # or near 0, and time-ordered monomial gates whose product equals RY(t)
 # there up to roundoff.
-X, Y, Z, S, RZ, PHASE = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.RZ, GateKind.PHASE)
+X, Z, PHASE = GateKind.X, GateKind.Z, GateKind.PHASE
 RY_AS_MONOMIALS = {
     0.0: (),
     1e-14: (),
@@ -337,12 +348,13 @@ class TestStripFilter:
                 assert strip_rounds_agree(assemble_whole(diagonalize(h), k + 1)) > 0
 
     def test_single_ry_with_odd_xy_count(self):
-        # RY(pi) X X Z X and RY(pi) Y RZ(pi) PHASE(-pi) multiply to I up to
-        # roundoff, but neither side is the other's mirror: kept as they are
-        head = (site_gate(GateKind.RY, math.pi), site_gate(S))
+        # around the centre PHASE(pi/2), RY(pi) and X X Z X or X X PHASE(pi) X
+        # multiply to I up to roundoff, but neither side is the other's
+        # mirror: kept as they are
+        head = (site_gate(GateKind.RY, math.pi), site_gate(PHASE, math.pi / 2))
         for tail in (
             (site_gate(X), site_gate(X), site_gate(Z), site_gate(X)),
-            (site_gate(Y), site_gate(RZ, math.pi), site_gate(PHASE, -math.pi)),
+            (site_gate(X), site_gate(X), site_gate(PHASE, math.pi), site_gate(X)),
         ):
             run = head + tail
             c = Circuit(3, run)

@@ -472,15 +472,18 @@ class TestMirrorRoute:
 
     def test_mirror_depth(self):
         ry = Gate(GateKind.RY, 1, ((0, True),), 0.3)
-        s, sdg = Gate(GateKind.S, 0), Gate(GateKind.SDG, 0)
+        p, p_inv = Gate(GateKind.PHASE, 0, (), 0.5), Gate(GateKind.PHASE, 0, (), -0.5)
+        h, z0 = Gate(GateKind.H, 0), Gate(GateKind.Z, 0)
         x, z = Gate(GateKind.X, 1, ((0, False),)), Gate(GateKind.Z, 1)
         ry_inv = Gate(GateKind.RY, 1, ((0, True),), -0.3)
         assert mirror_depth(()) == 0
         assert mirror_depth((ry,)) == 0
         assert mirror_depth((ry_inv, ry)) == 1
         assert mirror_depth((ry, ry)) == 0
-        assert mirror_depth((s, sdg)) == mirror_depth((sdg, s)) == 1
-        assert mirror_depth((s, s)) == 0
+        assert mirror_depth((p, p_inv)) == mirror_depth((p_inv, p)) == 1
+        assert mirror_depth((p, p)) == 0
+        assert mirror_depth((h, h)) == mirror_depth((z0, z0)) == 1
+        assert mirror_depth((h, z0)) == mirror_depth((z0, h)) == 0
         assert mirror_depth((x, ry_inv, z, ry, x)) == 2  # the middle gate is the centre
         assert mirror_depth((x, ry_inv, ry, x)) == 2
         assert mirror_depth((Gate(GateKind.RY, 1, ((0, False),), -0.3), ry)) == 0
