@@ -18,9 +18,10 @@ by its 2x2 matrix. A gate with n-1 controls has one pair, any other gate
 
 ``Gate(...)`` validates the whole gate and is the only way to give a gate a
 new site. Gates on the site of an existing gate (an inverse, a merged
-rotation, an emitted rotation core) come from ``Gate._on_site``, which
-checks the angle alone: the site it copies was validated when its gate was
-built.
+rotation, an emitted rotation core, a later line of a circuit file that
+``parse`` has already read that site from) come from ``Gate._on_site``,
+which checks the angle alone: the site it copies was validated when its
+gate was built.
 """
 
 from __future__ import annotations
@@ -171,12 +172,10 @@ class Circuit:
     global_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        _check_qubits(self.n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "global_phase", complex(self.global_phase))
-        if not abs(abs(self.global_phase) - 1.0) <= 1e-12:  # also rejects NaN
-            raise ValueError(f"global phase {self.global_phase} is not unit modulus")
+        _check_phase(self.global_phase)
         # only a circuit with a gate out of range walks every gate
         if max(map(attrgetter("highest"), self.gates), default=0) >= self.n_qubits:
             for g in self.gates:
@@ -184,6 +183,16 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def _check_qubits(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+
+
+def _check_phase(phase: complex) -> None:
+    if not abs(abs(phase) - 1.0) <= 1e-12:  # also rejects NaN
+        raise ValueError(f"global phase {phase} is not unit modulus")
 
 
 def _check_indices(gate: Gate, n: int) -> None:
@@ -300,6 +309,11 @@ def counts(circuit: Circuit) -> dict[str, int]:
 #
 # The controls field is omitted for uncontrolled gates; params= is left empty
 # for fixed kinds. Angles use 17 significant digits and round-trip bit exactly.
+#
+# Synthesized circuits put thousands of gates on a few dozen sites (target
+# and controls), so both directions work a site at a time: ``serialize``
+# formats each site's line text once, and ``parse`` validates each site in
+# full once and checks only the angle of every later line on it.
 
 
 def serialize(circuit: Circuit) -> str:
@@ -308,13 +322,17 @@ def serialize(circuit: Circuit) -> str:
         f"qubits {circuit.n_qubits}",
         f"phase {format_float(phase.real)},{format_float(phase.imag)}",
     ]
+    heads: dict[tuple, str] = {}  # (kind, target, controls) -> line text through "params="
     for g in circuit.gates:
-        parts = [f"gate {g.kind.value}", f"target={g.target}"]
-        if g.controls:
-            ctl = ",".join(f"{'+' if pos else '-'}{q}" for q, pos in g.controls)
-            parts.append(f"controls={ctl}")
-        parts.append("params=" + ("" if g.param is None else format_float(g.param)))
-        lines.append(" ".join(parts))
+        site = (g.kind._value_, g.target, g.controls)  # an Enum member hashes in Python
+        head = heads.get(site)
+        if head is None:
+            parts = [f"gate {g.kind.value}", f"target={g.target}"]
+            if g.controls:
+                ctl = ",".join(f"{'+' if pos else '-'}{q}" for q, pos in g.controls)
+                parts.append(f"controls={ctl}")
+            head = heads[site] = " ".join(parts) + " params="
+        lines.append(head if g.param is None else head + format_float(g.param))
     return "\n".join(lines) + "\n"
 
 
@@ -372,44 +390,82 @@ def _parse_gate_line(lineno: int, line: str) -> Gate:
         raise ParseError(lineno, str(exc)) from None
 
 
+def _check_line(lineno: int, check, *args) -> None:
+    """``check(*args)``, its ValueError or IndexError raised as the line's
+    ParseError."""
+    try:
+        check(*args)
+    except (ValueError, IndexError) as exc:
+        raise ParseError(lineno, str(exc)) from None
+
+
 def parse(text: str) -> Circuit:
+    """The circuit of a circuit text; a malformed line raises ParseError
+    naming that line.
+
+    The first line on each site goes through ``_parse_gate_line``. Its text
+    before `` params=`` keys the gate it gave. A later line with the same
+    text takes that gate's site: a fixed kind with empty params reuses the
+    (frozen) gate itself, and an angle with no whitespace becomes
+    ``_on_site`` of it, which checks the angle as ``Gate(...)`` does. Any
+    other line, or an angle those checks reject, goes through
+    ``_parse_gate_line``, which raises the line's error.
+    """
     n_qubits = None
     phase = None
     gates: list[Gate] = []
-    last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    sites: dict[str, Gate] = {}  # line text before " params=" -> its first gate
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
+        if phase is not None:
+            head, _, value = line.rpartition(" params=")
+            site = sites.get(head)
+            if site is not None:
+                kind = site.kind
+                if not kind.parametric:
+                    if not value:
+                        gates.append(site)
+                        continue
+                elif not value[:1].isspace():  # float() skips it, split() would not
+                    try:
+                        gates.append(site._on_site(kind, float(value)))
+                        continue
+                    except ValueError:
+                        pass
+            gate = _parse_gate_line(lineno, line)
+            if gate.highest >= n_qubits:
+                _check_line(lineno, _check_indices, gate, n_qubits)
+            # a value with no whitespace leaves every other field in the head
+            if site is None and not any(map(str.isspace, value)):
+                sites[head] = gate
+            gates.append(gate)
+            continue
+        parts = line.split()
         if n_qubits is None:
-            parts = line.split()
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ParseError(lineno, f"expected 'qubits N' header, got {line!r}")
             try:
                 n_qubits = int(parts[1])
             except ValueError:
                 raise ParseError(lineno, f"bad qubit count {parts[1]!r}") from None
+            _check_line(lineno, _check_qubits, n_qubits)
             continue
-        if phase is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "phase":
-                raise ParseError(lineno, f"expected 'phase re,im', got {line!r}")
-            pieces = parts[1].split(",")
-            if len(pieces) != 2:
-                raise ParseError(lineno, f"bad phase {parts[1]!r}")
-            try:
-                phase = complex(float(pieces[0]), float(pieces[1]))
-            except ValueError:
-                raise ParseError(lineno, f"bad phase {parts[1]!r}") from None
-            continue
-        gates.append(_parse_gate_line(lineno, line))
-    if n_qubits is None or phase is None:
-        raise ParseError(last_line, "missing qubits/phase header")
-    try:
-        return Circuit(n_qubits, tuple(gates), global_phase=phase)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(last_line, str(exc)) from None
+        if len(parts) != 2 or parts[0] != "phase":
+            raise ParseError(lineno, f"expected 'phase re,im', got {line!r}")
+        pieces = parts[1].split(",")
+        if len(pieces) != 2:
+            raise ParseError(lineno, f"bad phase {parts[1]!r}")
+        try:
+            phase = complex(float(pieces[0]), float(pieces[1]))
+        except ValueError:
+            raise ParseError(lineno, f"bad phase {parts[1]!r}") from None
+        _check_line(lineno, _check_phase, phase)
+    if phase is None:
+        raise ParseError(max(len(lines), 1), "missing qubits/phase header")
+    return Circuit(n_qubits, tuple(gates), global_phase=phase)
 
 
 def load_circuit(path) -> Circuit:

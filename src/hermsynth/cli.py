@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .baselines import (
@@ -152,7 +153,10 @@ def cmd_formulas(args) -> int:
     return _EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+    Subcommand ``x`` runs ``cmd_x``, which ``main`` looks up when it runs."""
     parser = argparse.ArgumentParser(
         prog="hermsynth",
         description="Synthesize Hermitian unitary matrices into quantum-gate circuits.",
@@ -167,39 +171,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sweeps", type=int, default=30)
     p.add_argument("--out", help="write the circuit here instead of stdout")
     p.add_argument("--report", help="write the key: value report here instead of stdout")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="compare a circuit file against a matrix file")
     p.add_argument("matrix")
     p.add_argument("circuit")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="print the dense matrix of a circuit file")
     p.add_argument("circuit")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("counts", help="print the gate-class histogram of a circuit file")
     p.add_argument("circuit")
-    p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("baseline", help="decompose a controlled single-qubit Hermitian gate")
     p.add_argument("--gate", required=True, help="H, X, Y, Z, or a 2x2 matrix file")
     p.add_argument("--method", choices=["jacobi", "barenco", "qsd"], default="jacobi")
     p.add_argument("--controls", type=int, default=1)
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("formulas", help="closed-form multi-controlled gate counts")
     p.add_argument("--n", type=int, required=True, help="total qubit count, n >= 5")
-    p.set_defaults(func=cmd_formulas)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE

@@ -9,9 +9,16 @@ from itertools import groupby
 
 import numpy as np
 
-from hermsynth.circuit import Circuit, Gate, GateKind, gate_entries, invert_gates
+from hermsynth.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    _parse_gate_line,
+    gate_entries,
+    invert_gates,
+)
 from hermsynth.diagonal import synthesize_sign_diagonal
-from hermsynth.errors import BadDimension, NoConvergence
+from hermsynth.errors import BadDimension, NoConvergence, ParseError
 from hermsynth.jacobi import (
     JacobiResult,
     RotationStep,
@@ -19,7 +26,7 @@ from hermsynth.jacobi import (
     rotation_params,
     snap_signs,
 )
-from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, off_norm
+from hermsynth.matrices import DEFAULT_TOLERANCES, as_matrix, format_float, off_norm
 from hermsynth.optimize import cancel_adjacent_inverses, strip_conjugate_controls
 from hermsynth.twolevel import emit_two_level, gray_path
 
@@ -270,6 +277,77 @@ def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
     new_a = u00 * a + u01 * b
     b[...] = u10 * a + u11 * b
     a[...] = new_a
+
+
+# --- references for the circuit text format ----------------------------------
+
+
+def serialize_reference(circuit: Circuit) -> str:
+    """``circuit.serialize`` formatting every gate's line in full."""
+    phase = circuit.global_phase
+    lines = [
+        f"qubits {circuit.n_qubits}",
+        f"phase {format_float(phase.real)},{format_float(phase.imag)}",
+    ]
+    for g in circuit.gates:
+        parts = [f"gate {g.kind.value}", f"target={g.target}"]
+        if g.controls:
+            ctl = ",".join(f"{'+' if pos else '-'}{q}" for q, pos in g.controls)
+            parts.append(f"controls={ctl}")
+        parts.append("params=" + ("" if g.param is None else format_float(g.param)))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def parse_reference(text: str) -> Circuit:
+    """``circuit.parse`` line by line: every gate line goes through
+    ``_parse_gate_line``, and every line is held to the checks of
+    ``Circuit(...)`` as it is read, so an error names its own line."""
+
+    def check(lineno: int, *args) -> None:
+        try:
+            Circuit(*args)
+        except (ValueError, IndexError) as exc:
+            raise ParseError(lineno, str(exc)) from None
+
+    n_qubits = None
+    phase = None
+    gates: list[Gate] = []
+    last_line = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        last_line = lineno
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n_qubits is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "qubits":
+                raise ParseError(lineno, f"expected 'qubits N' header, got {line!r}")
+            try:
+                n_qubits = int(parts[1])
+            except ValueError:
+                raise ParseError(lineno, f"bad qubit count {parts[1]!r}") from None
+            check(lineno, n_qubits)
+            continue
+        if phase is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "phase":
+                raise ParseError(lineno, f"expected 'phase re,im', got {line!r}")
+            pieces = parts[1].split(",")
+            if len(pieces) != 2:
+                raise ParseError(lineno, f"bad phase {parts[1]!r}")
+            try:
+                phase = complex(float(pieces[0]), float(pieces[1]))
+            except ValueError:
+                raise ParseError(lineno, f"bad phase {parts[1]!r}") from None
+            check(lineno, n_qubits, (), phase)
+            continue
+        gate = _parse_gate_line(lineno, line)
+        check(lineno, n_qubits, (gate,))
+        gates.append(gate)
+    if n_qubits is None or phase is None:
+        raise ParseError(last_line, "missing qubits/phase header")
+    return Circuit(n_qubits, tuple(gates), global_phase=phase)
 
 
 # --- reference for the strip pass ---------------------------------------------

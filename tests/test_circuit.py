@@ -12,11 +12,18 @@ from helpers import (
     CZ_EMBED,
     HADAMARD,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     apply_gate_full,
+    block_direct_sum,
+    parse_reference,
+    phased_involution,
     random_circuit,
+    random_hermitian_unitary,
+    serialize_reference,
 )
 from hermsynth import circuit as circuit_module
+from hermsynth.baselines import barenco_cu, h2_params, jacobi_cu, qsd_cu
 from hermsynth.circuit import (
     Circuit,
     Gate,
@@ -32,6 +39,8 @@ from hermsynth.circuit import (
 )
 from hermsynth.errors import IndexOutOfRange, ParseError
 from hermsynth.matrices import is_hermitian, is_unitary, max_abs_diff
+from hermsynth.optimize import rewrite_cz_cnot
+from hermsynth.twolevel import synthesize
 
 RNG = np.random.default_rng(99)
 
@@ -584,3 +593,232 @@ class TestSerialization:
         angle = math.pi / 7 + 1e-13
         c = Circuit(1, (Gate(GateKind.PHASE, 0, (), angle),))
         assert parse(serialize(c)).gates[0].param == angle
+
+
+class TestParseErrorLine:
+    """A malformed circuit file names the line at fault, with the message
+    of the check that rejects it."""
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            (
+                "qubits 2\nphase 1,0\ngate X target=5 params=\n"
+                "gate X target=0 params=\ngate X target=0 params=\n",
+                3,
+                "target 5 outside 2-qubit register",
+            ),
+            (
+                "qubits 2\nphase 1,0\ngate X target=0 params=\n"
+                "gate RY target=1 controls=+0,-3 params=0.5\ngate X target=0 params=\n",
+                4,
+                "control 3 outside 2-qubit register",
+            ),
+            ("qubits 0\nphase 1,0\n", 1, "need at least one qubit"),
+            ("# header\nqubits -2\nphase 1,0\ngate X target=0 params=\n", 2,
+             "need at least one qubit"),
+            (
+                "qubits 1\nphase 2,0\ngate X target=0 params=\ngate X target=0 params=\n",
+                2,
+                "global phase (2+0j) is not unit modulus",
+            ),
+            ("qubits 1\n\n# no phase\n", 3, "missing qubits/phase header"),
+            ("qubits 1\n", 1, "missing qubits/phase header"),
+            ("", 1, "missing qubits/phase header"),
+        ],
+    )
+    def test_names_the_line(self, text, line, reason):
+        for reader in (parse, parse_reference):
+            with pytest.raises(ParseError) as exc:
+                reader(text)
+            assert (exc.value.line, exc.value.reason) == (line, reason)
+
+
+# --- parse and serialize against their line-by-line references ----------------
+
+
+@cache
+def source_texts() -> tuple[str, ...]:
+    """Synthesized circuits at n = 1..3 in both libraries, and every
+    baseline form."""
+    rng = np.random.default_rng(2024)
+    inputs = [random_hermitian_unitary(rng, 1 << n) for n in (1, 2, 3)]
+    inputs += [phased_involution(rng, 3), block_direct_sum(rng, 3)]
+    circuits = []
+    for h in inputs:
+        c = synthesize(h)[0]
+        circuits += [c, rewrite_cz_cnot(c, "cnot")]
+    for u in (HADAMARD, PAULI_X, PAULI_Y, PAULI_Z):
+        p = h2_params(u)
+        circuits += [jacobi_cu(p, 1), jacobi_cu(p, 3), barenco_cu(p), qsd_cu(p)]
+    return tuple(serialize(c) for c in circuits)
+
+
+# angles a later line on a site may carry: some parse, some do not
+PARAM_VALUES = [
+    "nan", "inf", "-inf", "", " 0.5", "0.5;", "0.5;0.1", "0.5=1", "0.5", ";", "1_0", "-0",
+    "\u20030.5", "0.5 target=0",
+]
+SEPARATORS = ["\t", "  ", "\x0b", "\xa0", "\u2003", " \t "]
+
+
+def mutate_gate_line(draw, line: str) -> str:
+    tokens = line.split(" ")
+    mutation = draw(st.sampled_from(["params", "separator", "controls", "order", "none"]))
+    if mutation == "params":  # also an angle on a fixed kind
+        head, _, _ = line.rpartition(" params=")
+        return f"{head} params={draw(st.sampled_from(PARAM_VALUES))}"
+    if mutation == "separator":
+        k = draw(st.integers(1, len(tokens) - 1))
+        sep = draw(st.sampled_from(SEPARATORS))
+        return " ".join(tokens[:k]) + sep + " ".join(tokens[k:])
+    if mutation == "controls":
+        k = next((k for k, t in enumerate(tokens) if t.startswith("controls=")), None)
+        if k is None:
+            return line
+        pieces = tokens[k].removeprefix("controls=").split(",")
+        if draw(st.booleans()):
+            pieces.reverse()  # unsorted when there are two or more
+        else:  # a duplicate, with either polarity
+            q = draw(st.sampled_from(pieces))
+            pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from("+-")) + q[1:])
+        tokens[k] = "controls=" + ",".join(pieces)
+        return " ".join(tokens)
+    if mutation == "order":
+        return " ".join(tokens[:2] + draw(st.permutations(tokens[2:])))
+    return line
+
+
+def mutated_text(draw, text: str) -> str:
+    """``text`` with one to three gate lines mutated in place, or copied,
+    mutated, to a later line on the same site."""
+    lines = text.splitlines()
+    if len(lines) < 3:
+        return text
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(2, len(lines) - 1))
+        line = mutate_gate_line(draw, lines[j])
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(j + 1, len(lines))), line)
+        else:
+            lines[j] = line
+    return "\n".join(lines) + "\n"
+
+
+def assert_parses_like_reference(text: str) -> Circuit | None:
+    """Either both readers give equal circuits, gate for gate with equal
+    ``highest`` and equal text, or both raise a ParseError with the same
+    line and reason."""
+    try:
+        expected = parse_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (got.value.line, got.value.reason) == (exc.line, exc.reason)
+        return None
+    c = parse(text)
+    assert c == expected
+    assert [g.highest for g in c.gates] == [g.highest for g in expected.gates]
+    assert serialize_reference(c) == serialize_reference(expected)  # tells -0.0 from 0.0
+    return c
+
+
+ANGLES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.pi, -math.pi]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def site_circuits(draw):
+    """Circuits of every kind on a few sites, so most gates repeat a site:
+    negative and positive controls, uncontrolled gates, and edge angles."""
+    n = draw(st.integers(1, 5))
+    sites = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        qubits = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        sites.append((kind, target, tuple((q, draw(st.booleans())) for q in qubits)))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind, target, controls = draw(st.sampled_from(sites))
+        gates.append(Gate(kind, target, controls, draw(ANGLES) if kind.parametric else None))
+    phase = draw(st.sampled_from([1.0, -1.0, 1j, -1j, cmath.exp(0.3j)]))
+    return Circuit(n, tuple(gates), global_phase=phase)
+
+
+class TestParseReference:
+    """``parse`` reads each site once; ``parse_reference`` reads every line
+    in full. They must agree on every text."""
+
+    def test_source_texts_round_trip(self):
+        for text in source_texts():
+            c = assert_parses_like_reference(text)
+            assert serialize(c) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_texts(self, data):
+        text = data.draw(st.sampled_from(source_texts()), label="source")
+        assert_parses_like_reference(mutated_text(data.draw, text))
+
+    @pytest.mark.parametrize("value", PARAM_VALUES)
+    @pytest.mark.parametrize(
+        "site", ["gate RY target=1 controls=-0 params=0.25", "gate X target=1 controls=-0 params="]
+    )
+    def test_repeated_site_value(self, site, value):
+        head = site.rpartition(" params=")[0]
+        text = f"qubits 2\nphase 1,0\n{site}\n{head} params={value}\n"
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            ("gate RY target=1 params=0.5 controls=+0", "gate RY target=1 params=0.25"),
+            ("gate X target=1 params= controls=-0", "gate X target=1 params="),
+            ("gate PHASE target=1 params=\t0.5 controls=+0", "gate PHASE target=1 params=0.5"),
+        ],
+    )
+    def test_fields_after_params(self, first, later):
+        # the first line's head is not its whole site, so the later line,
+        # on another site, must not take it
+        c = assert_parses_like_reference(f"qubits 2\nphase 1,0\n{first}\n{later}\n")
+        assert c is None or c.gates[1].controls == ()
+
+    def test_fixed_site_shares_its_gate(self):
+        c = parse("qubits 2\nphase 1,0\n" + "gate X target=1 controls=+0 params=\n" * 3)
+        assert c.gates[0] is c.gates[1] is c.gates[2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(site_circuits())
+    def test_generated_circuits(self, c):
+        assert assert_parses_like_reference(serialize(c)) == c
+
+
+class TestSerializeReference:
+    """``serialize`` formats each site once; it must write the bytes of
+    ``serialize_reference``, which formats every gate in full."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_synthesized(self, n):
+        rng = np.random.default_rng(300 + n)
+        inputs = [random_hermitian_unitary(rng, 1 << n), phased_involution(rng, n)]
+        if n >= 2:
+            inputs.append(block_direct_sum(rng, n))
+        for h in inputs:
+            c = synthesize(h)[0]
+            for form in (c, rewrite_cz_cnot(c, "cnot")):
+                assert serialize(form) == serialize_reference(form)
+
+    @pytest.mark.parametrize("u", [HADAMARD, PAULI_X, PAULI_Y, PAULI_Z])
+    def test_baseline_forms(self, u):
+        p = h2_params(u)
+        forms = [jacobi_cu(p, k) for k in (1, 2, 3, 4)] + [barenco_cu(p), qsd_cu(p)]
+        for c in forms:
+            assert serialize(c) == serialize_reference(c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(site_circuits())
+    def test_generated_circuits(self, c):
+        assert serialize(c) == serialize_reference(c)

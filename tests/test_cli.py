@@ -332,6 +332,15 @@ class TestSimulateAndCounts:
         path.write_text("")
         assert main(["simulate", str(path)]) == 2
 
+    def test_error_names_the_line_at_fault(self, tmp_path, capsys):
+        path = tmp_path / "range.circ"
+        path.write_text(
+            "qubits 2\nphase 1,0\ngate X target=5 params=\n"
+            "gate X target=0 params=\ngate X target=0 params=\n"
+        )
+        assert main(["counts", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: target 5 outside 2-qubit register\n"
+
     def test_too_large_to_simulate_exits_3(self, tmp_path, monkeypatch, capsys):
         # stands in for np.eye failing on 2^20 x 2^20, without allocating
         def out_of_memory(circuit):
@@ -436,6 +445,21 @@ class TestEndToEnd:
         )
         assert result.returncode == 0, result.stderr
         assert "count_CZ: 1" in result.stdout
+
+    def test_parser_built_once_commands_looked_up_per_call(self, ch_file, tmp_path, monkeypatch):
+        out = tmp_path / "c.circ"
+        assert main(["synth", ch_file, "--out", str(out)]) == 0
+        parser = cli.build_parser()
+        calls = []
+
+        def patched(args):
+            calls.append(args.circuit)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_verify", patched)
+        assert main(["verify", ch_file, str(out)]) == 7
+        assert calls == [str(out)]
+        assert cli.build_parser() is parser
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
