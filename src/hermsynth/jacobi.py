@@ -50,8 +50,10 @@ class RotationStep:
     def __post_init__(self):
         if not (0 <= self.p < self.q):
             raise ValueError(f"need 0 <= p < q, got ({self.p}, {self.q})")
-        if abs(self.theta) > HALF_PI + 1e-12:
+        if not abs(self.theta) <= HALF_PI + 1e-12:  # NaN fails too
             raise ValueError(f"theta {self.theta} outside [-pi/2, pi/2]")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha {self.alpha} is not finite")
 
 
 @dataclass(frozen=True)
@@ -91,33 +93,61 @@ def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float]
     return theta, alpha
 
 
-def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
-    """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols."""
+def _coefficient_holders() -> tuple[np.ndarray, ...]:
+    """The six 0-d complex operands of one rotation: c, s, e s, e c, conj(e) s
+    and conj(e) c. Each caller allocates its own, so concurrent calls share
+    no state."""
+    return tuple(np.zeros((), dtype=complex) for _ in range(6))
+
+
+def _rotate(m: np.ndarray, step: RotationStep, zero_tol: float, holders) -> None:
+    """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols.
+
+    The coefficients are written into ``holders`` (from
+    ``_coefficient_holders``) before they scale a row or column: numpy spends
+    about a third of a Python scalar times a short array converting the
+    scalar, and a 0-d complex operand gives the same bits, since a float is
+    widened to complex(x, 0.0) either way. Every product keeps the form
+    coefficient * vector, because numpy's complex multiply is not bitwise
+    commutative. Each phase forms the new q from the two old vectors, writes
+    p in place, then stores q, so no vector is copied first.
+    """
+    h_c, h_s, h_es, h_ec, h_bs, h_bc = holders
     p, q = step.p, step.q
     c = math.cos(step.theta / 2.0)
     s = math.sin(step.theta / 2.0)
     e = cmath.exp(-1j * step.alpha) if step.alpha else 1.0
+    ec = e.conjugate()
+    h_c[()] = c
+    h_s[()] = s
+    h_es[()] = e * s
+    h_ec[()] = e * c
+    h_bs[()] = ec * s
+    h_bc[()] = ec * c
 
     # columns of Q': (c, -e s) and (s, e c)
-    colp = m[:, p].copy()
-    colq = m[:, q].copy()
-    m[:, p] = c * colp - (e * s) * colq
-    m[:, q] = s * colp + (e * c) * colq
+    colp, colq = m[:, p], m[:, q]
+    new_q = h_s * colp + h_ec * colq
+    np.subtract(h_c * colp, h_es * colq, out=colp)
+    colq[...] = new_q
     # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
-    ec = e.conjugate()
-    rowp = m[p, :].copy()
-    rowq = m[q, :].copy()
-    m[p, :] = c * rowp - (ec * s) * rowq
-    m[q, :] = s * rowp + (ec * c) * rowq
+    rowp, rowq = m[p], m[q]
+    new_q = h_s * rowp + h_bc * rowq
+    np.subtract(h_c * rowp, h_bs * rowq, out=rowp)
+    rowq[...] = new_q
 
-    if abs(m[p, q]) > zero_tol:
-        raise RotationFailed(
-            f"pivot ({p}, {q}) still {abs(m[p, q]):.3e} after rotation"
-        )
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-    m[p, p] = m[p, p].real
-    m[q, q] = m[q, q].real
+    pivot = abs(rowp[q])
+    if not pivot <= zero_tol:  # a NaN pivot fails too
+        raise RotationFailed(f"pivot ({p}, {q}) still {pivot:.3e} after rotation")
+    rowp[q] = 0.0
+    rowq[p] = 0.0
+    rowp[p] = rowp.item(p).real
+    rowq[q] = rowq.item(q).real
+
+
+def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
+    """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols."""
+    _rotate(m, step, zero_tol, _coefficient_holders())
 
 
 def snap_signs(diag_entries) -> tuple[int, ...]:
@@ -168,6 +198,7 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
         raise NotUnitary(f"input deviates from unitarity by more than {tol.unitary_tol}")
 
     work = m.copy()
+    holders = _coefficient_holders()
     threshold = zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
@@ -191,10 +222,10 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
                         break
                 q += 1 + k
                 theta, alpha = rotation_params(
-                    work[p, p].real, work[q, q].real, complex(work[p, q])
+                    work.item(p, p).real, work.item(q, q).real, work.item(p, q)
                 )
                 step = RotationStep(p, q, theta, alpha)
-                _rotate_inplace(work, step, zero_tol)
+                _rotate(work, step, zero_tol, holders)
                 steps.append(step)
                 executed += 1
         per_sweep.append(executed)

@@ -18,7 +18,7 @@ from hermsynth.circuit import (
     invert_gates,
 )
 from hermsynth.diagonal import synthesize_sign_diagonal
-from hermsynth.errors import BadDimension, NoConvergence, ParseError
+from hermsynth.errors import BadDimension, NoConvergence, ParseError, RotationFailed
 from hermsynth.jacobi import (
     JacobiResult,
     RotationStep,
@@ -131,10 +131,41 @@ def ordering_row_major(dim: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
+def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
+    """``jacobi._rotate_inplace`` as it was before its 0-d coefficient
+    operands: Python scalar coefficients and copied rows and columns. The
+    kernel is held to these bits."""
+    p, q = step.p, step.q
+    c = math.cos(step.theta / 2.0)
+    s = math.sin(step.theta / 2.0)
+    e = cmath.exp(-1j * step.alpha) if step.alpha else 1.0
+
+    # columns of Q': (c, -e s) and (s, e c)
+    colp = m[:, p].copy()
+    colq = m[:, q].copy()
+    m[:, p] = c * colp - (e * s) * colq
+    m[:, q] = s * colp + (e * c) * colq
+    # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
+    ec = e.conjugate()
+    rowp = m[p, :].copy()
+    rowq = m[q, :].copy()
+    m[p, :] = c * rowp - (ec * s) * rowq
+    m[q, :] = s * rowp + (ec * c) * rowq
+
+    if abs(m[p, q]) > zero_tol:
+        raise RotationFailed(
+            f"pivot ({p}, {q}) still {abs(m[p, q]):.3e} after rotation"
+        )
+    m[p, q] = 0.0
+    m[q, p] = 0.0
+    m[p, p] = m[p, p].real
+    m[q, q] = m[q, q].real
+
+
 def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
     """``jacobi.diagonalize`` as a scalar walk: every sweep tests each pair
     of ``ordering_row_major`` in turn and rotates it when its entry exceeds
-    zero_tol. Inputs are not validated."""
+    zero_tol, each by ``rotate_reference``. Inputs are not validated."""
     tol = DEFAULT_TOLERANCES
     work = as_matrix(h).copy()
     dim = work.shape[0]
@@ -154,7 +185,7 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
                 work[p, p].real, work[q, q].real, complex(work[p, q])
             )
             step = RotationStep(p, q, theta, alpha)
-            _rotate_inplace(work, step, tol.zero_tol)
+            rotate_reference(work, step, tol.zero_tol)
             steps.append(step)
             executed += 1
         per_sweep.append(executed)

@@ -1,7 +1,11 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     CH_EMBED,
@@ -18,6 +22,7 @@ from helpers import (
     ordering_row_major,
     phased_involution,
     random_hermitian_unitary,
+    rotate_reference,
     step_factors,
     two_level_matrix,
 )
@@ -38,9 +43,32 @@ from hermsynth.jacobi import (
     rotation_params,
     snap_signs,
 )
-from hermsynth.matrices import DEFAULT_TOLERANCES, is_hermitian, is_unitary, max_abs_diff, off_norm
+from hermsynth.matrices import (
+    DEFAULT_TOLERANCES,
+    HALF_PI,
+    is_hermitian,
+    is_unitary,
+    max_abs_diff,
+    off_norm,
+)
 
 RNG = np.random.default_rng(2718)
+
+
+def bits(m: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of a complex array: equal bits, NaNs and the
+    sign of zero included, compare equal."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def load_bench_workloads():
+    """The benchmark's seeded input generators, loaded from their file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRotationParams:
@@ -129,6 +157,100 @@ class TestApplyRotation:
         with pytest.raises(RotationFailed, match=message):
             _rotate_inplace(m, RotationStep(0, 1, 0.3, 0.0), 1e-12)
         assert abs(m[0, 1]) == pytest.approx(math.cos(0.3))
+
+
+class TestNonFinite:
+    """A NaN compares false with every bound, so each check is written to
+    fail on NaN."""
+
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match=r"^theta nan outside \[-pi/2, pi/2\]$"):
+            RotationStep(0, 1, math.nan, 0.0)
+
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="^alpha inf is not finite$"):
+            RotationStep(0, 1, 0.3, math.inf)
+
+    def test_nan_pivot_raises_rotation_failed(self):
+        # X's angle at (0, 1), but a NaN on the diagonal reaches the pivot;
+        # the reference's ``> zero_tol`` test lets it through
+        m = np.array([[0, 1], [1, math.nan]], dtype=complex)
+        step = RotationStep(0, 1, HALF_PI, 0.0)
+        reference = m.copy()
+        rotate_reference(reference, step, 1e-12)
+        assert reference[0, 1] == 0.0
+        with pytest.raises(RotationFailed, match=r"^pivot \(0, 1\) still nan after rotation$"):
+            _rotate_inplace(m, step, 1e-12)
+
+
+def rotation_outcome(rotate, m: np.ndarray, step: RotationStep, zero_tol: float):
+    """The matrix bits after ``rotate`` and its RotationFailed message, if any."""
+    try:
+        rotate(m, step, zero_tol)
+        message = None
+    except RotationFailed as error:
+        message = str(error)
+    return bits(m).tobytes(), message
+
+
+class TestKernelBits:
+    """``_rotate_inplace`` holds its coefficients in 0-d arrays and writes
+    rows and columns in place; it must give every bit that
+    ``rotate_reference``, the kernel as it was with Python scalars and
+    copies, gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        dim = data.draw(st.integers(2, 256), label="dim")
+        spread = data.draw(st.sampled_from(["adjacent", "far", "any"]), label="spread")
+        if spread == "adjacent":
+            p = data.draw(st.integers(0, dim - 2), label="p")
+            q = p + 1
+        elif spread == "far":
+            quarter = (dim - 2) // 4
+            p = data.draw(st.integers(0, quarter), label="p")
+            q = data.draw(st.integers(max(p + 1, dim - 1 - quarter), dim - 1), label="q")
+        else:
+            p = data.draw(st.integers(0, dim - 2), label="p")
+            q = data.draw(st.integers(p + 1, dim - 1), label="q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = rng.normal(size=(dim, dim)).astype(complex)
+        if data.draw(st.booleans(), label="complex entries"):
+            a += 1j * rng.normal(size=(dim, dim))
+        h = (a + a.conj().T) / 2.0
+        if data.draw(st.booleans(), label="real pivot"):
+            h[p, q] = h[q, p] = h[p, q].real
+        if data.draw(st.booleans(), label="zeroing angles"):
+            theta, alpha = rotation_params(h[p, p].real, h[q, q].real, h[p, q])
+        else:  # almost surely leaves the pivot: both kernels must raise alike
+            theta = data.draw(st.floats(-HALF_PI, HALF_PI), label="theta")
+            alpha = data.draw(st.sampled_from([0.0, -2.5, 0.7, math.pi]), label="alpha")
+        step = RotationStep(p, q, theta, alpha)
+        zero_tol = DEFAULT_TOLERANCES.zero_tol
+        got = rotation_outcome(_rotate_inplace, h.copy(), step, zero_tol)
+        assert got == rotation_outcome(rotate_reference, h.copy(), step, zero_tol)
+
+
+class TestZeroDimOperand:
+    """The kernels pass coefficients as 0-d complex arrays, which numpy
+    multiplies without converting a Python scalar each time. That gives
+    the bits of a Python float or complex only while numpy widens both to
+    the same complex128 operand and runs the same loop; a numpy release
+    that breaks this fails here before the bit tests of the kernels."""
+
+    def test_matches_python_scalar(self):
+        rng = np.random.default_rng(1812)
+        holder = np.zeros((), dtype=complex)
+        for length in range(1, 301):
+            m = rng.normal(size=(length, length)) + 1j * rng.normal(size=(length, length))
+            k = int(rng.integers(length))
+            for scalar in (float(rng.normal()), complex(rng.normal(), rng.normal())):
+                holder[()] = scalar
+                for vector in (m[k], m[:, k]):  # a contiguous row, a strided column
+                    assert np.array_equal(bits(holder * vector), bits(scalar * vector)), (
+                        length, scalar
+                    )
 
 
 class TestOrderings:
@@ -288,3 +410,45 @@ class TestRowScan:
         res = diagonalize(h)
         assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 1), (0, 2)]
         assert res == diagonalize_row_major(h)
+
+
+class TestReferenceWalk:
+    """``diagonalize`` against ``diagonalize_row_major``, the scalar walk
+    over ``rotate_reference``, field for field, on the benchmark's input
+    generators and on structured inputs."""
+
+    workloads = load_bench_workloads()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_dense(self, n):
+        rng = np.random.default_rng(6000 + n)
+        for index in range(3 if n < 6 else 1):
+            h = self.workloads.dense_balanced(rng, index, n)
+            assert diagonalize(h) == diagonalize_row_major(h)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sparse(self, n):
+        rng = np.random.default_rng(6100 + n)
+        for index in range(2):  # a phased involution, then a block sum
+            h = self.workloads.sparse_alternating(rng, index, n)
+            assert diagonalize(h) == diagonalize_row_major(h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_real_symmetric(self, n):
+        # O diag(+/-1) O^T for a random orthogonal O: real pivots, alpha 0.0
+        rng = np.random.default_rng(6200 + n)
+        o, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
+        h = (o * rng.choice([-1.0, 1.0], size=1 << n)) @ o.T
+        h = ((h + h.T) / 2.0).astype(complex)
+        res = diagonalize(h)
+        assert all(step.alpha == 0.0 for step in res.steps)
+        assert res == diagonalize_row_major(h)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_controlled_u(self, k):
+        # C^k U with U in {H, X, Y} and one complex 2x2 Hermitian unitary
+        v = np.array([[0.6, 0.8j], [-0.8j, -0.6]])
+        for u in (HADAMARD, PAULI_X, PAULI_Y, v):
+            h = np.eye(2 << k, dtype=complex)
+            h[-2:, -2:] = u
+            assert diagonalize(h) == diagonalize_row_major(h)

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import block_direct_sum, phased_involution, random_hermitian_unitary
 from hermsynth import twolevel
-from hermsynth.circuit import counts, serialize
-from hermsynth.twolevel import synthesize
+from hermsynth.circuit import counts, serialize, simulate
+from hermsynth.jacobi import diagonalize
+from hermsynth.twolevel import build_circuit, synthesize
 
 TESTS = Path(__file__).resolve().parent
 
@@ -120,6 +122,20 @@ class TestDeterminism:
         for k, m in enumerate(between):
             synthesized_text(m, seed + 1 + k)
         assert synthesized_text(n, seed) == cold
+
+    def test_concurrent_calls_match_serial(self):
+        # diagonalize and simulate keep their 0-d coefficient operands local
+        # to the call; operands shared between threads would be rewritten
+        # mid-rotation by the other thread
+        rng = np.random.default_rng(77)
+        inputs = [random_hermitian_unitary(rng, 1 << n) for n in (5, 4, 5, 3, 5, 4, 5, 2)]
+        circuits = [build_circuit(h)[0] for h in inputs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(diagonalize, inputs))
+            matrices = list(pool.map(simulate, circuits))
+        assert results == list(map(diagonalize, inputs))
+        for circuit, m in zip(circuits, matrices):
+            assert simulate(circuit).tobytes() == m.tobytes()
 
     def test_hash_seed(self):
         script = (
