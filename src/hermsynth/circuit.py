@@ -32,10 +32,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from numpy import add, multiply
 
 from .errors import IndexOutOfRange, ParseError
 from .matrices import format_float
@@ -234,32 +236,90 @@ def simulate(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit, including its global phase, by the
     row-pair rule of the module docstring.
 
-    The gate's entries scale rows through four 0-d complex arrays, local to
-    the call and rewritten per gate: numpy converts a Python complex operand
-    on every product, and a 0-d array gives the same bits faster."""
-    x = GateKind.X  # an Enum member lookup costs about as much as a swap
+    Everything the gates share is built once per call: a table from each
+    site (target, controls) to its row pairs, the list of row views
+    ``list(m)``, four 0-d complex arrays for the gate's entries and four
+    row-length temporaries. numpy converts a Python complex operand on
+    every product, and a 0-d array gives the same bits faster. A gate with
+    n-1 controls reads its two rows as views, through ``perm.item``, and
+    writes them in place: the four products go to the temporaries, and
+    their sums over the old rows. A diagonal gate scales its row in place,
+    holder first. A PHASE right after a 2x2 update on the same site scales
+    that update's row j as it is stored. A gate with fewer controls picks
+    its rows by index arrays, into copies, and stores them back: a diagonal
+    one multiplies a named row, since ``*=`` and numpy's reuse of an
+    unnamed fancy-indexed temporary each round differently."""
+    x, ry, phase = GateKind.X, GateKind.RY, GateKind.PHASE  # Enum lookups cost
     n = circuit.n_qubits
+    full = n - 1
     m = np.eye(1 << n, dtype=complex)
+    rows = list(m)
     perm = np.arange(1 << n)  # row r of the running product is m[perm[r]]
     h00, h01, h10, h11 = (np.zeros((), dtype=complex) for _ in range(4))
-    for gate in circuit.gates:
-        i, j = _row_pairs(gate.target, gate.controls, n)
+    t1, t2, t3, t4 = (np.empty(1 << n, dtype=complex) for _ in range(4))
+    sites: dict[tuple, tuple] = {}  # (target, controls) -> _row_pairs
+    gates = circuit.gates
+    fold = False  # the gate was folded into the update before it
+    for gate, after in zip(gates, chain(islice(gates, 1, None), (None,))):
+        if fold:
+            fold = False
+            continue
+        target, controls = gate.target, gate.controls
+        site = (target, controls)
+        pair = sites.get(site)
+        if pair is None:
+            pair = sites[site] = _row_pairs(target, controls, n)
+        i, j = pair
         kind = gate.kind
+        if kind is ry:
+            c, s = math.cos(gate.param / 2.0), math.sin(gate.param / 2.0)
+            h00[()] = c
+            h01[()] = s
+            h10[()] = -s
+            h11[()] = c
+        elif kind is phase:
+            h11[()] = cmath.exp(1j * gate.param)
+        elif kind is not x:
+            u00, u01, u10, u11 = kind.entries
+            h00[()] = u00
+            h01[()] = u01
+            h10[()] = u10
+            h11[()] = u11
+        if len(controls) == full:
+            if kind is x:
+                perm[i], perm[j] = perm.item(j), perm.item(i)
+                continue
+            b = rows[perm.item(j)]
+            if kind.diagonal:
+                multiply(h11, b, b)
+                continue
+            a = rows[perm.item(i)]
+            multiply(h00, a, t1)
+            multiply(h01, b, t2)
+            multiply(h10, a, t3)
+            multiply(h11, b, t4)
+            add(t1, t2, a)
+            fold = (
+                after is not None
+                and after.kind is phase
+                and after.target == target
+                and after.controls == controls
+            )
+            if fold:
+                add(t3, t4, t3)
+                h11[()] = cmath.exp(1j * after.param)
+                multiply(h11, t3, b)
+            else:
+                add(t3, t4, b)
+            continue
         if kind is x:
             perm[i], perm[j] = perm[j], perm[i]
             continue
-        u00, u01, u10, u11 = gate_entries(kind, gate.param)
-        h11[()] = u11
         pj = perm[j]
         if kind.diagonal:
-            # out of place, from a named row: ``*=``, and numpy's reuse of an
-            # unnamed fancy-indexed temporary, each round differently
             row = m[pj]
             m[pj] = h11 * row
             continue
-        h00[()] = u00
-        h01[()] = u01
-        h10[()] = u10
         pi = perm[i]
         a, b = m[pi], m[pj]
         new_a = h00 * a + h01 * b
@@ -291,11 +351,23 @@ def counts(circuit: Circuit) -> dict[str, int]:
     then each pair is added to its class; a class keeps the place of its
     first gate in the dict's order.
     """
+    return _class_counts(Counter(_kind_controls(circuit.gates)))
+
+
+_kind_value = attrgetter("kind._value_")
+_controls = attrgetter("controls")
+
+
+def _kind_controls(gates):
+    """The (kind value, number of controls) of each gate, lazily. Kinds are
+    counted by their value strings: an Enum member hashes in Python."""
+    return zip(map(_kind_value, gates), map(len, map(_controls, gates)))
+
+
+def _class_counts(pairs: Counter) -> dict[str, int]:
+    """:func:`counts` of the gates counted by (kind value, number of
+    controls) in ``pairs``, in the order of ``pairs``."""
     hist: dict[str, int] = {}
-    gates = circuit.gates
-    # kinds are counted by their value strings: an Enum member hashes in Python
-    kinds = map(attrgetter("kind._value_"), gates)
-    pairs = Counter(zip(kinds, map(len, map(attrgetter("controls"), gates))))
     for (value, k), count in pairs.items():
         kind = GateKind(value)
         if k == 0:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import add, multiply, subtract
 
 from .errors import (
     BadDimension,
@@ -34,7 +35,7 @@ from .matrices import (
 
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationStep:
     """One elimination: zero entry (p, q) with angles (theta, alpha).
 
@@ -48,12 +49,36 @@ class RotationStep:
     alpha: float
 
     def __post_init__(self):
-        if not (0 <= self.p < self.q):
-            raise ValueError(f"need 0 <= p < q, got ({self.p}, {self.q})")
-        if not abs(self.theta) <= HALF_PI + 1e-12:  # NaN fails too
-            raise ValueError(f"theta {self.theta} outside [-pi/2, pi/2]")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha {self.alpha} is not finite")
+        _check_step(self.p, self.q, self.theta, self.alpha)
+
+
+def _check_step(p: int, q: int, theta: float, alpha: float) -> None:
+    if not (0 <= p < q):
+        raise ValueError(f"need 0 <= p < q, got ({p}, {q})")
+    if not abs(theta) <= HALF_PI + 1e-12:  # NaN fails too
+        raise ValueError(f"theta {theta} outside [-pi/2, pi/2]")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha {alpha} is not finite")
+
+
+# The slot setters skip the frozen ``__setattr__`` and ``__post_init__``:
+# ``_new_step`` costs about half of ``RotationStep(...)`` (timeit).
+_new = object.__new__
+_set_p = RotationStep.p.__set__
+_set_q = RotationStep.q.__set__
+_set_theta = RotationStep.theta.__set__
+_set_alpha = RotationStep.alpha.__set__
+
+
+def _new_step(p: int, q: int, theta: float, alpha: float) -> RotationStep:
+    """``RotationStep(p, q, theta, alpha)``, with the same checks."""
+    _check_step(p, q, theta, alpha)
+    step = _new(RotationStep)
+    _set_p(step, p)
+    _set_q(step, q)
+    _set_theta(step, theta)
+    _set_alpha(step, alpha)
+    return step
 
 
 @dataclass(frozen=True)
@@ -93,30 +118,36 @@ def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float]
     return theta, alpha
 
 
-def _coefficient_holders() -> tuple[np.ndarray, ...]:
-    """The six 0-d complex operands of one rotation: c, s, e s, e c, conj(e) s
-    and conj(e) c. Each caller allocates its own, so concurrent calls share
-    no state."""
-    return tuple(np.zeros((), dtype=complex) for _ in range(6))
+def _operands(dim: int) -> tuple[np.ndarray, ...]:
+    """The operands of one rotation of a dim x dim matrix: six 0-d complex
+    coefficients (c, s, e s, e c, conj(e) s and conj(e) c) and four complex
+    temporaries of length dim. Each caller allocates its own, so concurrent
+    calls share no state."""
+    holders = tuple(np.zeros((), dtype=complex) for _ in range(6))
+    return holders + tuple(np.empty(dim, dtype=complex) for _ in range(4))
 
 
-def _rotate(m: np.ndarray, step: RotationStep, zero_tol: float, holders) -> None:
-    """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols.
+def _rotate(
+    rows, cols, p: int, q: int, theta: float, alpha: float, zero_tol: float, operands
+) -> None:
+    """Conjugate a matrix by the two-level Q' at (p, q), touching only those
+    rows and columns. ``rows`` and ``cols`` hold views of the matrix's rows
+    and columns (``list(m)``, ``list(m.T)``), and ``operands`` comes from
+    ``_operands``.
 
-    The coefficients are written into ``holders`` (from
-    ``_coefficient_holders``) before they scale a row or column: numpy spends
-    about a third of a Python scalar times a short array converting the
-    scalar, and a 0-d complex operand gives the same bits, since a float is
-    widened to complex(x, 0.0) either way. Every product keeps the form
-    coefficient * vector, because numpy's complex multiply is not bitwise
-    commutative. Each phase forms the new q from the two old vectors, writes
-    p in place, then stores q, so no vector is copied first.
+    The coefficients are written into the 0-d holders before they scale a
+    row or column: numpy spends about a third of a Python scalar times a
+    short array converting the scalar, and a 0-d complex operand gives the
+    same bits, since a float is widened to complex(x, 0.0) either way. Every
+    product keeps the form coefficient * vector, because numpy's complex
+    multiply is not bitwise commutative. Each phase forms its four products
+    in the temporaries, then writes the new p and q over the old vectors,
+    so no ufunc allocates its result.
     """
-    h_c, h_s, h_es, h_ec, h_bs, h_bc = holders
-    p, q = step.p, step.q
-    c = math.cos(step.theta / 2.0)
-    s = math.sin(step.theta / 2.0)
-    e = cmath.exp(-1j * step.alpha) if step.alpha else 1.0
+    h_c, h_s, h_es, h_ec, h_bs, h_bc, t1, t2, t3, t4 = operands
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    e = cmath.exp(-1j * alpha) if alpha else 1.0
     ec = e.conjugate()
     h_c[()] = c
     h_s[()] = s
@@ -126,17 +157,23 @@ def _rotate(m: np.ndarray, step: RotationStep, zero_tol: float, holders) -> None
     h_bc[()] = ec * c
 
     # columns of Q': (c, -e s) and (s, e c)
-    colp, colq = m[:, p], m[:, q]
-    new_q = h_s * colp + h_ec * colq
-    np.subtract(h_c * colp, h_es * colq, out=colp)
-    colq[...] = new_q
+    colp, colq = cols[p], cols[q]
+    multiply(h_c, colp, t1)
+    multiply(h_es, colq, t2)
+    multiply(h_s, colp, t3)
+    multiply(h_ec, colq, t4)
+    subtract(t1, t2, colp)
+    add(t3, t4, colq)
     # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
-    rowp, rowq = m[p], m[q]
-    new_q = h_s * rowp + h_bc * rowq
-    np.subtract(h_c * rowp, h_bs * rowq, out=rowp)
-    rowq[...] = new_q
+    rowp, rowq = rows[p], rows[q]
+    multiply(h_c, rowp, t1)
+    multiply(h_bs, rowq, t2)
+    multiply(h_s, rowp, t3)
+    multiply(h_bc, rowq, t4)
+    subtract(t1, t2, rowp)
+    add(t3, t4, rowq)
 
-    pivot = abs(rowp[q])
+    pivot = abs(rowp.item(q))
     if not pivot <= zero_tol:  # a NaN pivot fails too
         raise RotationFailed(f"pivot ({p}, {q}) still {pivot:.3e} after rotation")
     rowp[q] = 0.0
@@ -147,7 +184,10 @@ def _rotate(m: np.ndarray, step: RotationStep, zero_tol: float, holders) -> None
 
 def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols."""
-    _rotate(m, step, zero_tol, _coefficient_holders())
+    _rotate(
+        list(m), list(m.T), step.p, step.q, step.theta, step.alpha, zero_tol,
+        _operands(m.shape[0]),
+    )
 
 
 def snap_signs(diag_entries) -> tuple[int, ...]:
@@ -198,7 +238,9 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
         raise NotUnitary(f"input deviates from unitarity by more than {tol.unitary_tol}")
 
     work = m.copy()
-    holders = _coefficient_holders()
+    # views of every row and column, and the kernel's operands, built once
+    rows, cols = list(work), list(work.T)
+    operands = _operands(dim)
     threshold = zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
@@ -209,23 +251,23 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
         sweeps += 1
         executed = 0
         for p in range(dim - 1):
-            row, q = work[p], p
+            row, q = rows[p], p
             while q < dim - 1:
                 # the first entry past q above zero_tol, in row p as the
                 # last rotation left it: on dense inputs almost always the
                 # next one, so the row is scanned only when that one fails
                 k = 0
-                if abs(row[q + 1]) <= zero_tol:
+                if abs(row.item(q + 1)) <= zero_tol:
                     above = np.abs(row[q + 1 :]) > zero_tol
                     k = int(above.argmax())  # the first True, or 0 if none
                     if not above[k]:
                         break
                 q += 1 + k
                 theta, alpha = rotation_params(
-                    work.item(p, p).real, work.item(q, q).real, work.item(p, q)
+                    row.item(p).real, rows[q].item(q).real, row.item(q)
                 )
-                step = RotationStep(p, q, theta, alpha)
-                _rotate(work, step, zero_tol, holders)
+                step = _new_step(p, q, theta, alpha)
+                _rotate(rows, cols, p, q, theta, alpha, zero_tol, operands)
                 steps.append(step)
                 executed += 1
         per_sweep.append(executed)

@@ -121,6 +121,17 @@ def block_direct_sum(rng: np.random.Generator, n: int, block: int = 4) -> np.nda
     return h
 
 
+def controlled_u(u: np.ndarray, k: int, target: int | None = None, negative=()) -> np.ndarray:
+    """C^k U on k + 1 qubits: U acts on ``target`` (default: the last
+    wire) when each other qubit is 1, or 0 for the qubits in ``negative``."""
+    target = k if target is None else target
+    bit = 1 << (k - target)
+    on = sum(1 << (k - q) for q in range(k + 1) if q != target and q not in negative)
+    h = np.eye(2 << k, dtype=complex)
+    h[np.ix_([on, on | bit], [on, on | bit])] = u
+    return h
+
+
 # --- dense references for the Jacobi rotations ------------------------------
 
 
@@ -308,6 +319,28 @@ def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
     new_a = u00 * a + u01 * b
     b[...] = u10 * a + u11 * b
     a[...] = new_a
+
+
+# --- reference for the verify route --------------------------------------------
+
+
+def mirror_depth_reference(gates) -> int:
+    """``twolevel.mirror_depth`` as an index walk: the first k with
+    ``gates[k]`` and ``gates[-1-k]`` differing in kind, target, controls or
+    negated angle, for k below the middle."""
+    last = len(gates) - 1
+    k = 0
+    while k < last - k:
+        a, b = gates[k], gates[last - k]
+        if (
+            a.kind is not b.kind
+            or a.target != b.target
+            or a.controls != b.controls
+            or (a.kind.parametric and a.param != -b.param)
+        ):
+            break
+        k += 1
+    return k
 
 
 # --- references for the circuit text format ----------------------------------

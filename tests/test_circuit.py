@@ -409,6 +409,100 @@ class TestTwoRowSimulate:
         assert np.array_equal(simulate(c), full_update_reference(c))
 
 
+@st.composite
+def few_site_circuits(draw):
+    """Gates of every kind on two or three sites with n-1 controls, plus
+    now and then an H with fewer, so that gates on one site often come
+    back to back."""
+    n = draw(st.integers(1, 6))
+    everyone = (1 << n) - 1
+    sites = [
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, everyone)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    gates = [Gate(GateKind.H, q) for q in range(n)]
+    for _ in range(draw(st.integers(0, 24))):
+        if n > 1 and draw(st.integers(0, 7)) == 0:
+            gates.append(gate_on(n, GateKind.H, draw(st.integers(0, n - 1)), 0, 0, None))
+            continue
+        kind = draw(st.sampled_from(list(GateKind)))
+        target, polarity = draw(st.sampled_from(sites))
+        gates.append(gate_on(n, kind, target, everyone, polarity, draw(st.floats(-4.0, 4.0))))
+    phase = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return Circuit(n, tuple(gates), global_phase=phase)
+
+
+class TestRowViews:
+    """A gate with n-1 controls reads and writes its two rows as views, and
+    a PHASE right after a 2x2 update on the same site scales that update's
+    row j as it is stored. Every case must equal the full 2x2 update of
+    every gate bit for bit."""
+
+    @staticmethod
+    def circuit(n, core):
+        # an H on every qubit first, so that no row is a unit row
+        gates = tuple(Gate(GateKind.H, q) for q in range(n)) + core
+        return Circuit(n, gates, global_phase=cmath.exp(0.3j))
+
+    @staticmethod
+    def full_site(n, target, polarity):
+        return tuple((q, bool(polarity >> q & 1)) for q in range(n) if q != target)
+
+    def check(self, c):
+        assert np.array_equal(simulate(c), full_update_reference(c))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_upright_ry_phase(self, n):
+        ry = Gate(GateKind.RY, n - 1, self.full_site(n, n - 1, 5), 0.7)
+        phase = ry._on_site(GateKind.PHASE, -1.1)
+        self.check(self.circuit(n, (ry, phase)))
+        # a second PHASE is applied on its own, and an H update folds too
+        self.check(self.circuit(n, (ry, phase, phase, ry, phase._on_site(GateKind.H, None), phase)))
+        # a PHASE first, and an update last, with nothing to fold
+        self.check(self.circuit(n, (phase, ry)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_swapped_ry_x_phase_x(self, n):
+        ry = Gate(GateKind.RY, 0, self.full_site(n, 0, 2), -0.4)
+        flip = ry._on_site(GateKind.X, None)
+        self.check(self.circuit(n, (ry, flip, ry._on_site(GateKind.PHASE, 2.2), flip)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_phase_on_other_controls(self, n):
+        # the same target, one control of the other polarity: no fold
+        ry = Gate(GateKind.RY, 1, self.full_site(n, 1, 0b01), 0.9)
+        phase = Gate(GateKind.PHASE, 1, self.full_site(n, 1, 0b00), 0.5)
+        assert phase.target == ry.target and phase.controls != ry.controls
+        self.check(self.circuit(n, (ry, phase, ry, phase)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_equal_controls_in_distinct_tuples(self, n):
+        controls = self.full_site(n, 0, 0b10)
+        ry = Gate(GateKind.RY, 0, controls, 1.3)
+        phase = Gate(GateKind.PHASE, 0, tuple(list(controls)), -0.6)
+        assert phase.controls == ry.controls and phase.controls is not ry.controls
+        self.check(self.circuit(n, (ry, phase, phase._on_site(GateKind.X, None), ry, phase)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_parsed_circuit(self, n):
+        # parse gives a site's RY and PHASE lines distinct control tuples
+        h = random_hermitian_unitary(np.random.default_rng(4100 + n), 1 << n)
+        circuit, _ = synthesize(h)
+        parsed = parse(serialize(circuit))
+        assert any(
+            a.kind is GateKind.RY and b.kind is GateKind.PHASE
+            and a.controls == b.controls and a.controls is not b.controls
+            for a, b in zip(parsed.gates, parsed.gates[1:])
+        )
+        self.check(parsed)
+        assert simulate(parsed).tobytes() == simulate(circuit).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(few_site_circuits())
+    def test_property_few_sites(self, c):
+        self.check(c)
+
+
 class TestDiagonalHalfSlice:
     """Z and PHASE with fewer than n-1 controls scale their rows j alone;
     every entry must equal the full 2x2 update's."""

@@ -253,6 +253,37 @@ class TestZeroDimOperand:
                     )
 
 
+class TestInPlaceForms:
+    """The kernels write their products through ``out``: ``np.multiply(h,
+    v, out=v)`` scales a row in place and ``np.multiply(h, v, t)`` fills a
+    temporary. Both must give the bits of ``h * v``. ``simulate``'s
+    docstring records that ``*=`` and numpy's reuse of an unnamed temporary
+    once rounded differently from ``h * v``, so a numpy release that runs
+    the out forms by another loop fails here before the bit tests of the
+    kernels. The in-place form starts at length 2: numpy 2.4.6 rounds a
+    complex holder times a one-entry vector in place differently, and no
+    kernel scales one, since a row of a 2^n x 2^n matrix has 2^n >= 2
+    entries."""
+
+    def test_match_product(self):
+        rng = np.random.default_rng(1813)
+        holder = np.zeros((), dtype=complex)
+        for length in range(1, 301):
+            m = rng.normal(size=(length, length)) + 1j * rng.normal(size=(length, length))
+            k = int(rng.integers(length))
+            temporary = np.empty(length, dtype=complex)
+            for scalar in (float(rng.normal()), complex(rng.normal(), rng.normal())):
+                holder[()] = scalar
+                work = m.copy()
+                for vector in (work[k], work[:, k]):  # a contiguous row, a strided column
+                    expected = bits(holder * vector)
+                    np.multiply(holder, vector, temporary)
+                    assert np.array_equal(bits(temporary), expected), (length, scalar)
+                    if length > 1:
+                        np.multiply(holder, vector, out=vector)
+                        assert np.array_equal(bits(vector), expected), (length, scalar)
+
+
 class TestOrderings:
     def test_row_major_dim2(self):
         assert ordering_row_major(2) == [(0, 1)]

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import block_direct_sum, phased_involution, random_hermitian_unitary
+from helpers import (
+    block_direct_sum,
+    phased_involution,
+    random_circuit,
+    random_hermitian_unitary,
+)
 from hermsynth import twolevel
 from hermsynth.circuit import counts, serialize, simulate
 from hermsynth.jacobi import diagonalize
@@ -124,18 +129,35 @@ class TestDeterminism:
         assert synthesized_text(n, seed) == cold
 
     def test_concurrent_calls_match_serial(self):
-        # diagonalize and simulate keep their 0-d coefficient operands local
-        # to the call; operands shared between threads would be rewritten
-        # mid-rotation by the other thread
+        # diagonalize and simulate keep their 0-d coefficient operands,
+        # temporaries, row views and site tables local to the call; any of
+        # them shared between threads would be rewritten mid-rotation or
+        # mid-gate by the other thread, or be the wrong size for its matrix
         rng = np.random.default_rng(77)
         inputs = [random_hermitian_unitary(rng, 1 << n) for n in (5, 4, 5, 3, 5, 4, 5, 2)]
         circuits = [build_circuit(h)[0] for h in inputs]
+        # gates with fewer controls on the same sites at n = 5 and n = 8
+        circuits += [random_circuit(rng, n, 60) for n in (5, 8, 5, 8)]
+        # numpy lets go of the GIL in a loop over more than 500 entries, so
+        # a thread can only be cut short mid-rotation on rows of 512 or more
+        inputs += [f(rng, 9) for f in (block_direct_sum, phased_involution) * 2]
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(diagonalize, inputs))
             matrices = list(pool.map(simulate, circuits))
         assert results == list(map(diagonalize, inputs))
         for circuit, m in zip(circuits, matrices):
             assert simulate(circuit).tobytes() == m.tobytes()
+        # each thread synthesizes inputs at n = 5 and n = 8, in opposite order
+        dense = [random_hermitian_unitary(rng, 32) for _ in range(2)]
+        sparse = [phased_involution(rng, 8), block_direct_sum(rng, 8)]
+        jobs = ([dense[0], sparse[0], dense[1]], [sparse[1], dense[1], sparse[0]])
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            outcomes = list(pool.map(lambda job: [synthesize(h) for h in job], jobs))
+        for job, outcome in zip(jobs, outcomes):
+            for h, (circuit, report) in zip(job, outcome):
+                serial_circuit, serial_report = synthesize(h)
+                assert serialize(circuit) == serialize(serial_circuit)
+                assert report == serial_report
 
     def test_hash_seed(self):
         script = (

@@ -14,8 +14,10 @@ from helpers import (
     PAULI_Z,
     assemble_whole,
     block_direct_sum,
+    controlled_u,
     emit_two_level_gray,
     full_rounds_reference,
+    mirror_depth_reference,
     phased_involution,
     random_hermitian_unitary,
     random_unitary,
@@ -27,7 +29,7 @@ from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import IndexOutOfRange, VerificationFailed
 from hermsynth.jacobi import RotationStep, diagonalize
 from hermsynth.matrices import max_abs_diff
-from hermsynth.optimize import cancel_adjacent_inverses
+from hermsynth.optimize import cancel_adjacent_inverses, rewrite_cz_cnot
 from hermsynth.twolevel import (
     build_circuit,
     circuit_error,
@@ -333,17 +335,6 @@ def near_identity(sign: float, n: int) -> np.ndarray:
     return sign * np.eye(1 << n) + 2e-12 * (a + a.conj().T)
 
 
-def controlled_u(u: np.ndarray, k: int, target: int | None = None, negative=()) -> np.ndarray:
-    """C^k U on k + 1 qubits: U acts on ``target`` (default: the last
-    wire) when each other qubit is 1, or 0 for the qubits in ``negative``."""
-    target = k if target is None else target
-    bit = 1 << (k - target)
-    on = sum(1 << (k - q) for q in range(k + 1) if q != target and q not in negative)
-    h = np.eye(2 << k, dtype=complex)
-    h[np.ix_([on, on | bit], [on, on | bit])] = u
-    return h
-
-
 def kron_input(rng, n: int) -> np.ndarray:
     h = HADAMARD
     for _ in range(n - 1):
@@ -489,6 +480,26 @@ class TestMirrorRoute:
         assert mirror_depth((Gate(GateKind.RY, 1, ((0, False),), -0.3), ry)) == 0
         assert mirror_depth((Gate(GateKind.RY, 0, (), -0.3), Gate(GateKind.RY, 1, (), 0.3))) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(mirrored_circuits(), st.data())
+    def test_depth_matches_reference(self, case, data):
+        # on the mirrored circuit, then with one first-half gate changed:
+        # its angle nudged, or another gate drawn in its place
+        circuit, half = case
+        gates = circuit.gates
+        assert mirror_depth(gates) == mirror_depth_reference(gates) >= half
+        if not gates:
+            return
+        i = data.draw(st.integers(0, max(half, 1) - 1), label="mutated gate")
+        old = gates[i]
+        if old.kind.parametric and data.draw(st.booleans(), label="nudge the angle"):
+            new = old._on_site(old.kind, old.param + 1e-9)
+        else:
+            new = data.draw(gate_lists(circuit.n_qubits, list(GateKind), 1).filter(len))[0]
+        mutated = gates[:i] + (new,) + gates[i + 1 :]
+        assert mirror_depth(mutated) == mirror_depth_reference(mutated)
+        assert mirror_depth(list(mutated)) == mirror_depth(mutated)
+
     @settings(max_examples=80, deadline=None)
     @given(mirrored_circuits())
     def test_matches_simulate(self, case):
@@ -531,6 +542,43 @@ class TestMirrorRoute:
             assert k and simulated == [k, len(circuit.gates) - 2 * k]
             assert report.verify_error == max_abs_diff(mirror_matrix(circuit, k), h)
             assert abs(report.verify_error - max_abs_diff(simulate(circuit), h)) <= 1e-12
+
+    @pytest.mark.parametrize("lib", ["cz", "cnot"])
+    @pytest.mark.parametrize("name, h", BUILD_INPUTS, ids=[name for name, _ in BUILD_INPUTS])
+    def test_report_counts_equal_counts(self, name, h, lib):
+        # the report counts the first k gates twice and the centre once; the
+        # classes must come in the order of counts() of the whole circuit.
+        # In the CNOT library the centre of C^k U is an X, not diagonal.
+        circuit, result = build_circuit(h)
+        if lib == "cnot":
+            circuit = rewrite_cz_cnot(circuit, lib)
+        report = twolevel.verified_report(circuit, h, result)
+        assert list(report.gate_counts.items()) == list(counts(circuit).items())
+
+    def test_report_counts_of_mutated_first_half(self, monkeypatch):
+        # one first-half gate replaced on its site or stripped of its
+        # controls, in a dense circuit and in C^3 Y in the CNOT library; the
+        # verify is knocked out, since the mutated circuit is no longer right
+        monkeypatch.setattr(twolevel, "circuit_error", lambda c, h: 0.0)
+        cases = ((random_hermitian_unitary(RNG, 8), None), (controlled_u(PAULI_Y, 3), "cnot"))
+        for h, lib in cases:
+            circuit, result = build_circuit(h)
+            if lib:
+                circuit = rewrite_cz_cnot(circuit, lib)
+            gates, n = circuit.gates, circuit.n_qubits
+            k = mirror_depth(gates)
+            assert k
+            for i in sorted({0, k // 2, k - 1}):
+                old = gates[i]
+                changed = [Gate(kind, old.target, old.controls)
+                           for kind in (GateKind.H, GateKind.Z) if kind is not old.kind]
+                if old.controls:
+                    changed.append(Gate(old.kind, old.target, (), old.param))
+                for new in changed:
+                    mutated = Circuit(n, gates[:i] + (new,) + gates[i + 1 :], circuit.global_phase)
+                    assert mirror_depth(mutated.gates) == i
+                    report = twolevel.verified_report(mutated, h, result)
+                    assert list(report.gate_counts.items()) == list(counts(mutated).items())
 
     def test_mutated_first_half_fails(self):
         # one first-half angle off by 1e-7: the literal match stops there,
