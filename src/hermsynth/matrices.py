@@ -52,9 +52,67 @@ def is_hermitian(a) -> bool:
 
 
 def is_unitary(a) -> bool:
+    """Whether m m^H is the identity within ``unitary_tol``.
+
+    The product is formed one block of m's nonzero pattern at a time
+    (:func:`_blocks`), batched by block size: between two blocks every
+    term of m m^H is an exact zero, as in the identity. A pattern that is
+    one block, such as any dense input, takes the whole product."""
     m = as_matrix(a)
-    product = m @ m.conj().T
-    return float(np.max(np.abs(product - np.eye(m.shape[0])))) <= DEFAULT_TOLERANCES.unitary_tol
+    blocks = _blocks(m)
+    if blocks is None:
+        stacks = (m[None],)
+    else:
+        stacks = (m[idx[:, :, None], idx[:, None, :]] for idx in blocks)
+    for b in stacks:
+        deviation = b @ b.conj().transpose(0, 2, 1)
+        diagonal = np.arange(b.shape[1])
+        deviation[:, diagonal, diagonal] -= 1.0
+        if float(np.max(np.abs(deviation))) > DEFAULT_TOLERANCES.unitary_tol:
+            return False
+    return True
+
+
+def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
+    """The connected components ("blocks") of the nonzero pattern of the
+    square matrix ``m``, with i and j joined when m[i, j] or m[j, i] is
+    nonzero: one (count, size) index array per block size, ascending, each
+    row one block's indices in ascending order. None when the pattern is
+    one block.
+
+    If i and j sit in different blocks, m[i, k] and m[j, k] are never both
+    nonzero, so every term of (m D m^H)[i, j] is an exact zero for any
+    diagonal D. A row 0 without zeros joins every index to 0, an O(N)
+    test made first. Otherwise each index starts as its own root, and
+    each round hooks, for every nonzero entry whose ends have two roots,
+    the larger root under the smaller, then replaces every label by its
+    root (pointer jumping; Shiloach & Vishkin, J. Algorithms 3, 57
+    (1982)), and drops the entries whose ends now share a root. A root is
+    the smallest index of its block, so the labels do not depend on which
+    hook wins. A scrambled path or a lollipop at N = 1024 settles in 6-8
+    rounds."""
+    dim = m.shape[0]
+    if np.all(m[0]):
+        return None
+    # re and im tested as float pairs: np.nonzero of complex is 6x slower
+    pairs = (np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0).view(np.uint16)
+    flat = np.flatnonzero(pairs.astype(bool))
+    rows, cols = flat // dim, flat % dim
+    labels = np.arange(dim)
+    a, b = rows, cols  # the roots of each entry's ends
+    while a.size:
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
+        a, b = labels[rows], labels[cols]
+        cross = a != b
+        rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
+    sizes = np.bincount(labels)[labels]
+    if sizes[0] == dim:
+        return None
+    order = np.lexsort((labels, sizes))
+    # np.unique costs about 11 ms on its first call in a process (numpy 2.4)
+    return [order[sizes[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(sizes))]
 
 
 def off_norm(a) -> float:

@@ -21,13 +21,15 @@ from .circuit import (
     GateKind,
     _class_counts,
     _kind_controls,
+    _row_pairs,
+    gate_entries,
     invert_gates,
     simulate,
 )
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
-from .matrices import DEFAULT_TOLERANCES, max_abs_diff
+from .matrices import DEFAULT_TOLERANCES, _blocks, as_matrix, max_abs_diff
 # ``optimize`` is the one cancel pass build_circuit runs; bench/tracing.py
 # times it under this name.
 from .optimize import cancel_adjacent_inverses as optimize, strip_conjugate_controls
@@ -128,12 +130,21 @@ def _site_run(gates) -> int:
 
 
 def build_circuit(h, max_sweeps: int = 30) -> tuple[Circuit, JacobiResult]:
-    """The first step of :func:`synthesize`: diagonalize ``h``, then build
-    W^dagger D W, optimized, from the forward half. The circuit is not yet
-    verified.
+    """The first step of :func:`synthesize`: :func:`diagonalize` ``h``,
+    then :func:`assemble` its steps and signs. The circuit is not yet
+    verified."""
+    result = diagonalize(h, max_sweeps)
+    n = len(result.signs).bit_length() - 1
+    return assemble(result.steps, result.signs, n), result
 
-    W is the forward factors of the steps in reverse order, each step
-    emitted once, and D the sign diagonal. ``optimize``, the cancel pass
+
+def assemble(steps, signs, n: int) -> Circuit:
+    """W^dagger D W, optimized, built from its forward half: W is the
+    forward factors of ``steps`` in reverse order, each step emitted once,
+    and D the sign diagonal of ``signs``. Only ``p``, ``q``, ``theta`` and
+    ``alpha`` of a step are read.
+
+    ``optimize``, the cancel pass
     :func:`hermsynth.optimize.cancel_adjacent_inverses`, runs on W alone,
     giving head + rest with ``head`` its leading run on one site. A pass
     over W^dagger D W only combines neighbouring gates on one site, so it
@@ -149,17 +160,15 @@ def build_circuit(h, max_sweeps: int = 30) -> tuple[Circuit, JacobiResult]:
     empty), invert_gates(rest) meets rest and cancels gate for gate, so
     the circuit is empty.
     """
-    result = diagonalize(h, max_sweeps)
-    n = len(result.signs).bit_length() - 1
-    diag_gates, phase = synthesize_sign_diagonal(result.signs)
-    forward = tuple(g for step in reversed(result.steps) for g in emit_two_level(step, n))
+    diag_gates, phase = synthesize_sign_diagonal(signs)
+    forward = tuple(g for step in reversed(steps) for g in emit_two_level(step, n))
     half = optimize(Circuit(n, forward)).gates
     split = _site_run(half)
     head, rest = half[:split], half[split:]
     window = strip_conjugate_controls(Circuit(n, invert_gates(head) + diag_gates + head))
     centre = optimize(window).gates
     gates = invert_gates(rest) + centre + rest if centre else ()
-    return Circuit(n, gates, global_phase=phase), result
+    return Circuit(n, gates, global_phase=phase)
 
 
 def mirror_depth(gates) -> int:
@@ -185,41 +194,89 @@ def mirror_depth(gates) -> int:
     return k
 
 
+def _diagonal(gates, n: int, phase: complex) -> np.ndarray:
+    """The diagonal of ``simulate(Circuit(n, gates, phase))`` for gates of
+    diagonal kinds, bit for bit, as a vector.
+
+    Each gate scales the entries of its rows j by its entry u11 with the
+    product ``simulate`` uses, u11 times an array: numpy rounds a product
+    of two scalars, and one with its operands swapped, differently.
+    ``simulate`` returns ``phase * m[perm]``, which numpy computes in
+    place as ``m[perm] * phase`` once the temporary m[perm] reaches its
+    elision size of 256 KiB, that is from n = 7 on."""
+    d = np.ones(1 << n, dtype=complex)
+    for gate in gates:
+        j = _row_pairs(gate.target, gate.controls, n)[1]
+        if type(j) is int:
+            j = slice(j, j + 1)
+        d[j] = gate_entries(gate.kind, gate.param)[3] * d[j]
+    return d * phase if n >= 7 else phase * d
+
+
 def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     """phase M C M^H, with M the simulated last k gates and C the gates
     between the first k and the last k. When ``k`` is at most
     :func:`mirror_depth` of the gates, this is the circuit's matrix up to
-    roundoff. A centre of diagonal kinds is applied as a column scaling."""
+    roundoff.
+
+    A centre of diagonal kinds is the vector d = phase diag(C)
+    (:func:`_diagonal`), and the product M diag(d) M^H is formed one block
+    of M's nonzero pattern at a time (:func:`hermsynth.matrices._blocks`),
+    batched by block size, with exact zeros between blocks: there every
+    term of the product is an exact zero. An M of one block, such as the
+    half of any dense synthesized circuit, takes the whole product, and
+    any other centre is simulated and multiplied whole."""
     gates, n = circuit.gates, circuit.n_qubits
     cut = len(gates) - k
     m = simulate(Circuit(n, gates[cut:]))
     centre = gates[k:cut]
-    c = simulate(Circuit(n, centre, circuit.global_phase))
-    if all(g.kind.diagonal for g in centre):
-        return (m * c.diagonal()) @ m.conj().T
-    return (m @ c) @ m.conj().T
+    if not all(g.kind.diagonal for g in centre):
+        return (m @ simulate(Circuit(n, centre, circuit.global_phase))) @ m.conj().T
+    d = _diagonal(centre, n, circuit.global_phase)
+    blocks = _blocks(m)
+    if blocks is None:
+        return (m * d) @ m.conj().T
+    out = np.zeros_like(m)
+    for idx in blocks:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        b = m[rows, cols]
+        out[rows, cols] = (b * d[cols]) @ b.conj().transpose(0, 2, 1)
+    return out
 
 
 # The mirror route simulates len(gates) - k gates instead of len(gates),
-# and pays for it with one dense N x N product (two when the centre is not
+# and pays for it with one N x N product (two when the centre is not
 # diagonal). Measured on synthesized circuits cut to shorter mirrored
 # windows (2-core x86_64 host), it broke even at about 45, 110, 540,
 # 3000-5000 and 9000-15000 gates at n = 5..9, that is at N^3 / 2^9.5,
 # 2^11, 2^12, 2^12 and 2^13.4. The route is taken from
 # len(gates) << _MIRROR_SHIFT >= N^3 on: from 512 gates at n = 7 and
-# 4096 at n = 8.
+# 4096 at n = 8. Below that, the product's cost is taken as the sum of
+# the cubed block sizes of h's nonzero pattern, N^3 for a dense h: a
+# diagonal centre's product is formed one block of M at a time, and the
+# blocks of M are those of h when the circuit is right.
 _MIRROR_SHIFT = 12
 
 
 def circuit_error(circuit: Circuit, h) -> float:
     """Max entrywise deviation of the circuit's matrix from ``h``.
 
-    A circuit large for its size whose leading gates mirror its trailing
-    ones (:func:`mirror_depth`), such as W^dagger D W, is computed by
-    :func:`mirror_matrix`; any other is simulated whole.
+    A circuit whose leading gates mirror its trailing ones
+    (:func:`mirror_depth`), such as W^dagger D W, is computed by
+    :func:`mirror_matrix` when it is large for its size: when
+    len(gates) << _MIRROR_SHIFT reaches N^3, or else the sum of the cubed
+    block sizes of h's nonzero pattern. Any other circuit is simulated
+    whole. The pattern of h chooses the route only: a wrong circuit whose
+    M reaches across h's blocks forms its own larger blocks, so its error
+    is exact either way.
     """
     gates = circuit.gates
-    big = len(gates) << _MIRROR_SHIFT >= 1 << 3 * circuit.n_qubits
+    cost = len(gates) << _MIRROR_SHIFT
+    big = cost >= 1 << 3 * circuit.n_qubits
+    if not big:
+        h = as_matrix(h)
+        blocks = _blocks(h)
+        big = blocks is not None and cost >= sum(idx.size * idx.shape[1] ** 2 for idx in blocks)
     k = mirror_depth(gates) if big else 0
     return max_abs_diff(mirror_matrix(circuit, k) if k else simulate(circuit), h)
 

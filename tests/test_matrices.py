@@ -1,12 +1,27 @@
 import math
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, random_unitary
+from helpers import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    block_direct_sum,
+    controlled_u,
+    phased_involution,
+    random_hermitian_unitary,
+    random_unitary,
+)
 from hermsynth.errors import DimensionMismatch, ParseError
 from hermsynth.matrices import (
+    DEFAULT_TOLERANCES,
     Tolerances,
+    _blocks,
     format_matrix,
     is_hermitian,
     is_unitary,
@@ -44,6 +59,157 @@ class TestPredicates:
         cy = np.eye(4, dtype=complex)
         cy[2:, 2:] = PAULI_Y
         assert is_unitary(cy)
+
+
+def dense_verdict(m) -> bool:
+    """is_unitary's verdict from the whole product m m^H."""
+    m = np.asarray(m, dtype=complex)
+    deviation = np.abs(m @ m.conj().T - np.eye(len(m)))
+    return float(np.max(deviation)) <= DEFAULT_TOLERANCES.unitary_tol
+
+
+def permuted(m, rng):
+    p = rng.permutation(len(m))
+    return m[np.ix_(p, p)]
+
+
+def unitary_cases():
+    rng = np.random.default_rng(77)
+    cases = [("identity", np.eye(16)), ("identity1", np.eye(1))]
+    for n in (2, 4, 6):
+        cases += [(f"blocks{n}", permuted(block_direct_sum(rng, n), rng)),
+                  (f"blocks{n}x2", permuted(block_direct_sum(rng, n, 2), rng)),
+                  (f"involution{n}", phased_involution(rng, n)),
+                  (f"dense{n}", random_hermitian_unitary(rng, 1 << n))]
+    for name, u in (("X", PAULI_X), ("Y", PAULI_Y), ("H", HADAMARD)):
+        cases += [(f"C{k}{name}", controlled_u(u, k)) for k in range(1, 9)]
+    # not Hermitian: a cyclic shift, whose pattern has an entry (i, j)
+    # without (j, i), permuted, and a unitary with two blocks of 8
+    shift = np.roll(np.eye(32), 1, axis=1)
+    two = np.zeros((16, 16), dtype=complex)
+    two[:8, :8], two[8:, 8:] = random_unitary(rng, 8), random_unitary(rng, 8)
+    cases += [("shift", permuted(shift, rng)), ("two_unitaries", permuted(two, rng))]
+    zero_row = np.eye(8)
+    zero_row[3] = 0.0
+    cases += [("zero_row", zero_row), ("zero_column", zero_row.T.copy())]
+    return cases
+
+
+UNITARY_CASES = unitary_cases()
+
+
+class TestBlockUnitary:
+    """is_unitary forms m m^H one block of m's nonzero pattern at a time;
+    its verdict must be that of the whole product."""
+
+    @pytest.mark.parametrize("name, m", UNITARY_CASES, ids=[name for name, _ in UNITARY_CASES])
+    def test_matches_dense_verdict(self, name, m):
+        expected = not name.startswith("zero")
+        assert dense_verdict(m) == expected
+        assert is_unitary(m) == expected
+
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_perturbations_rejected(self, block):
+        # 2e-10 inside a block, and at an entry between two blocks (which
+        # joins them in the pattern): both break unitarity beyond 1e-10
+        rng = np.random.default_rng(block)
+        h = block_direct_sum(rng, 5, block)
+        p = rng.permutation(32)
+        inside, between = h.copy(), h.copy()
+        inside[1, 0] += 2e-10
+        between[0, block] = 2e-10
+        for m in (inside, between, inside[np.ix_(p, p)], between[np.ix_(p, p)]):
+            assert not dense_verdict(m)
+            assert not is_unitary(m)
+        assert is_unitary(h) and is_unitary(h[np.ix_(p, p)])
+
+
+def components_reference(pattern: np.ndarray) -> set[frozenset[int]]:
+    """Connected components of i ~ j when pattern[i, j] or pattern[j, i],
+    by breadth-first search."""
+    adjacent = pattern | pattern.T
+    seen, parts = set(), set()
+    for start in range(len(pattern)):
+        if start in seen:
+            continue
+        part, queue = {start}, deque([start])
+        while queue:
+            for j in np.flatnonzero(adjacent[queue.popleft()]).tolist():
+                if j not in part:
+                    part.add(j)
+                    queue.append(j)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
+def check_blocks(m: np.ndarray) -> None:
+    """_blocks against the reference, and in its documented layout."""
+    expected = components_reference(m != 0)
+    blocks = _blocks(m)
+    if blocks is None:
+        assert expected == {frozenset(range(len(m)))}
+        return
+    sizes = [idx.shape[1] for idx in blocks]
+    assert sizes == sorted(set(sizes))
+    assert all(np.all(np.diff(idx, axis=1) > 0) for idx in blocks)
+    assert {frozenset(row.tolist()) for idx in blocks for row in idx} == expected
+    assert len(expected) > 1
+
+
+def scrambled_path(rng, dim: int) -> np.ndarray:
+    p = rng.permutation(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[p[:-1], p[1:]] = 1.0
+    return m
+
+
+def lollipop(rng, dim: int) -> np.ndarray:
+    """A clique on half the indices with a path hanging off it, permuted."""
+    m = np.zeros((dim, dim), dtype=complex)
+    half = dim // 2
+    m[:half, :half] = 1.0
+    m[np.arange(half - 1, dim - 1), np.arange(half, dim)] = 1j
+    return permuted(m, rng)
+
+
+class TestBlockLabels:
+    @pytest.mark.parametrize("n", [1, 3, 8, 10])
+    def test_scrambled_path(self, n):
+        rng = np.random.default_rng(n)
+        m = scrambled_path(rng, 1 << n)
+        check_blocks(m)
+        cut = m.copy()
+        cut[np.nonzero(cut)[0][0]] = 0.0  # one row emptied: two or three blocks
+        check_blocks(cut)
+
+    @pytest.mark.parametrize("n", [2, 8, 10])
+    def test_lollipop(self, n):
+        check_blocks(lollipop(np.random.default_rng(n), 1 << n))
+
+    @pytest.mark.parametrize("n, block", [(2, 2), (6, 4), (8, 4), (8, 16), (10, 4)])
+    def test_permuted_blocks(self, n, block):
+        rng = np.random.default_rng(n + block)
+        check_blocks(permuted(block_direct_sum(rng, n, block), rng))
+
+    def test_one_block_shortcut(self):
+        # row 0 without zeros, and a pattern joined only through column 0
+        assert _blocks(np.ones((8, 8))) is None
+        star = np.eye(8)
+        star[1:, 0] = 1e-300
+        assert _blocks(star) is None
+        check_blocks(np.eye(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 48), st.data())
+    def test_random_patterns(self, dim, data):
+        entries = data.draw(st.lists(
+            st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=2 * dim
+        ))
+        m = np.zeros((dim, dim), dtype=complex)
+        for i, j in entries:
+            m[i, j] = data.draw(st.sampled_from([1.0, -1e-300, 1e-300j, -2.5j]))
+        check_blocks(m)
 
 
 class TestNorms:

@@ -31,6 +31,7 @@ from hermsynth.jacobi import RotationStep, diagonalize
 from hermsynth.matrices import max_abs_diff
 from hermsynth.optimize import cancel_adjacent_inverses, rewrite_cz_cnot
 from hermsynth.twolevel import (
+    assemble,
     build_circuit,
     circuit_error,
     emit_two_level,
@@ -423,6 +424,41 @@ class TestBuildCircuit:
         assert synthesize_sign_diagonal(result.signs) == ((), sign)
 
 
+class TestAssemble:
+    """``assemble(steps, signs, n)`` is build_circuit after diagonalize."""
+
+    def test_calls_through_module_names(self, monkeypatch):
+        # the names bench/tracing.py and the knock-out tests rebind
+        calls = {name: 0 for name in
+                 ("emit_two_level", "optimize", "invert_gates", "synthesize_sign_diagonal")}
+        for name in calls:
+            real = getattr(twolevel, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(twolevel, name, counted)
+        h = random_hermitian_unitary(np.random.default_rng(4), 8)
+        circuit, result = build_circuit(h)
+        assert calls == {"emit_two_level": len(result.steps), "optimize": 2,
+                         "invert_gates": 2, "synthesize_sign_diagonal": 1}
+        monkeypatch.undo()
+        again = assemble(list(result.steps), result.signs, 3)
+        assert serialize(again) == serialize(circuit)
+
+    def test_steps_from_elsewhere(self):
+        # no steps: the sign diagonal alone; one hand-made step with
+        # Q' = two_level_matrix(step): Q' diag(signs) Q'^H
+        signs = np.array([1, -1, 1, 1, -1, 1, 1, 1])
+        circuit = assemble((), signs, 3)
+        assert max_abs_diff(simulate(circuit), np.diag(signs)) <= 1e-15
+        step = RotationStep(1, 6, 0.7, 0.4)
+        q = two_level_matrix(step, 8)
+        circuit = assemble((step,), signs, 3)
+        assert max_abs_diff(simulate(circuit), q @ np.diag(signs) @ q.conj().T) <= 1e-14
+
+
 def site(n, kind, target, mask, polarity, angle):
     controls = tuple(
         (q, bool(polarity >> q & 1)) for q in range(n) if q != target and mask >> q & 1
@@ -512,7 +548,9 @@ class TestMirrorRoute:
 
     def test_route_by_size(self, monkeypatch):
         # len(gates) << 12 >= N^3 takes the route: at n = 2 from one gate
-        # on, at n = 8 from 4096 gates
+        # on, at n = 8 from 4096 gates. Below that, so does a circuit of at
+        # least sum(s^3) / 2^12 gates, s the block sizes of h's nonzero
+        # pattern. A diagonal centre is a vector, not a simulate call.
         simulated = []
         real_simulate = twolevel.simulate
         monkeypatch.setattr(
@@ -522,26 +560,90 @@ class TestMirrorRoute:
         z = Gate(GateKind.Z, 0)
         small = Circuit(2, invert_gates((ry,)) + (z,) + (ry,))
         assert circuit_error(small, simulate(small)) <= 1e-15
-        assert simulated == [1, 1]
-        simulated.clear()
+        assert simulated == [1]
         ry8 = Gate(GateKind.RY, 7, tuple((q, True) for q in range(7)), 0.3)
         large = Circuit(8, invert_gates((ry8,)) + (Gate(GateKind.Z, 0),) + (ry8,))
-        assert circuit_error(large, np.eye(256)) > 0.1
-        assert simulated == [3]
+        # 3 << 12 = 12,288 against the sum of cubed block sizes: a dense h
+        # (N^3), a block of 23 (12,167 + 233) and of 22 (10,648 + 234)
+        block23, block22 = np.eye(256), np.eye(256)
+        block23[:23, :23] = block22[:22, :22] = 1.0
+        for h, route in ((np.full((256, 256), 1 / 16), [3]), (block23, [3]),
+                         (block22, [1]), (np.eye(256), [1])):
+            simulated.clear()
+            assert circuit_error(large, h) > 0.1
+            assert simulated == route
+            assert abs(circuit_error(large, h) - max_abs_diff(real_simulate(large), h)) <= 1e-15
 
     def test_synthesized_circuits_take_the_route(self, monkeypatch):
+        # the dense and C^3 Y circuits by the N^3 rule, the two n = 8
+        # sparse ones by the block rule. Their centres are diagonal, so
+        # only M is simulated; in the CNOT library the centre of C^3 Y is
+        # an X and is simulated too.
         simulated = []
         real_simulate = twolevel.simulate
         monkeypatch.setattr(
             twolevel, "simulate", lambda c: simulated.append(len(c.gates)) or real_simulate(c)
         )
-        for h in (random_hermitian_unitary(RNG, 32), controlled_u(PAULI_Y, 3)):
+        rng = np.random.default_rng(8)
+        inputs = (random_hermitian_unitary(RNG, 32), controlled_u(PAULI_Y, 3),
+                  phased_involution(rng, 8), block_direct_sum(rng, 8))
+        for h in inputs:
             simulated.clear()
             circuit, report = synthesize(h)
             k = mirror_depth(circuit.gates)
-            assert k and simulated == [k, len(circuit.gates) - 2 * k]
+            assert all(g.kind.diagonal for g in circuit.gates[k : len(circuit.gates) - k])
+            assert k and simulated == [k]
             assert report.verify_error == max_abs_diff(mirror_matrix(circuit, k), h)
             assert abs(report.verify_error - max_abs_diff(simulate(circuit), h)) <= 1e-12
+        h = controlled_u(PAULI_Y, 3)
+        circuit = rewrite_cz_cnot(build_circuit(h)[0], "cnot")
+        k = mirror_depth(circuit.gates)
+        simulated.clear()
+        assert circuit_error(circuit, h) <= 1e-15
+        assert simulated == [k, len(circuit.gates) - 2 * k] and k
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        gate_lists(n, [GateKind.Z, GateKind.PHASE], 12),
+        st.floats(0.01, math.pi - 0.01) | st.floats(-math.pi + 0.01, -0.01),
+    )))
+    def test_diagonal_centre_bits(self, case):
+        # the centre's diagonal vector against simulate, bit for bit, with
+        # every control count and polarity and a global phase off +-1
+        n, gates, angle = case
+        phase = cmath.exp(1j * angle)
+        expected = np.ascontiguousarray(simulate(Circuit(n, gates, phase)).diagonal())
+        got = twolevel._diagonal(gates, n, phase)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_block_route_on_wrong_circuits(self, monkeypatch):
+        # a sparse n = 8 circuit with one ladder X removed, from the second
+        # half only and from both halves (a mirrored circuit whose M
+        # reaches across h's blocks, through the block route): the error
+        # is that of the whole simulation, and the verify fails
+        simulated = []
+        real_simulate = twolevel.simulate
+        monkeypatch.setattr(
+            twolevel, "simulate", lambda c: simulated.append(len(c.gates)) or real_simulate(c)
+        )
+        rng = np.random.default_rng(88)
+        for h in (phased_involution(rng, 8), block_direct_sum(rng, 8)):
+            circuit, _ = synthesize(h)
+            gates, n = circuit.gates, circuit.n_qubits
+            last = len(gates) - 1
+            i = next(i for i in range(len(gates) // 2) if gates[i].kind is GateKind.X
+                     and len(gates[i].controls) == n - 1)
+            for cut in ((last - i,), (i, last - i)):
+                kept = tuple(g for j, g in enumerate(gates) if j not in cut)
+                wrong = Circuit(n, kept, circuit.global_phase)
+                whole = max_abs_diff(simulate(wrong), h)
+                simulated.clear()
+                assert abs(circuit_error(wrong, h) - whole) <= 1e-12
+                with pytest.raises(VerificationFailed):
+                    verify_circuit(wrong, h)
+            assert mirror_depth(kept) == mirror_depth(gates) - 1
+            assert simulated[0] == mirror_depth(kept)
 
     @pytest.mark.parametrize("lib", ["cz", "cnot"])
     @pytest.mark.parametrize("name, h", BUILD_INPUTS, ids=[name for name, _ in BUILD_INPUTS])
