@@ -325,7 +325,11 @@ def simulate(circuit: Circuit) -> np.ndarray:
         new_a = h00 * a + h01 * b
         m[pj] = h10 * a + h11 * b
         m[pi] = new_a
-    return circuit.global_phase * m[perm]
+    out = m[perm]
+    # one operand order at every size: numpy would compute an unnamed
+    # temporary of 256 KiB or more (n >= 7) in place as m[perm] * phase,
+    # which rounds differently from phase * m[perm]
+    return multiply(circuit.global_phase, out, out)
 
 
 def invert_gate(gate: Gate) -> Gate:

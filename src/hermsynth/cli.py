@@ -73,7 +73,7 @@ def _report_lines(n: int, library: str, report: SynthesisReport) -> list[str]:
 
 def cmd_synth(args) -> int:
     matrix = load_matrix(args.matrix)
-    circuit, result = build_circuit(matrix, max_sweeps=args.max_sweeps)
+    circuit, result = build_circuit(matrix)
     if args.lib == "cnot":
         circuit = rewrite_cz_cnot(circuit, "cnot")
     report = verified_report(circuit, matrix, result)
@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="decompose a matrix file into a circuit")
     p.add_argument("matrix", help="path to a matrix text file")
     p.add_argument("--lib", choices=["cz", "cnot"], default="cz")
-    p.add_argument("--max-sweeps", type=int, default=30)
     p.add_argument("--out", help="write the circuit here instead of stdout")
     p.add_argument("--report", help="write the key: value report here instead of stdout")
 

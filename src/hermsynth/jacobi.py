@@ -33,6 +33,9 @@ from .matrices import (
     off_norm,
 )
 
+# The sweep cap, a safety bound only: the dense inputs measured up to n = 8
+# converged in at most 16 sweeps.
+_MAX_SWEEPS = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,14 +185,6 @@ def _rotate(
     rowq[q] = rowq.item(q).real
 
 
-def _rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
-    """Conjugate ``m`` by the two-level Q' at (p, q), touching only those rows/cols."""
-    _rotate(
-        list(m), list(m.T), step.p, step.q, step.theta, step.alpha, zero_tol,
-        _operands(m.shape[0]),
-    )
-
-
 def snap_signs(diag_entries) -> tuple[int, ...]:
     """Map converged diagonal entries to exact +/-1, within sign_tol."""
     sign_tol = DEFAULT_TOLERANCES.sign_tol
@@ -205,7 +200,7 @@ def snap_signs(diag_entries) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
+def diagonalize(h) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
     Each sweep rotates, in row-major order, every pair (p, q) with p < q
@@ -221,11 +216,9 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     of these inputs is highly degenerate, so convergence is close to linear
     rather than quadratic: random dense inputs take 2, 3-6, 4-9, 9-11 and
     12-13 sweeps at n = 2..6, the early sweeps rotating nearly all N(N-1)/2
-    pairs. The tolerances are the fixed DEFAULT_TOLERANCES. A negative
-    ``max_sweeps`` raises ValueError; 0 runs no sweep.
+    pairs. The tolerances are the fixed DEFAULT_TOLERANCES, and an input
+    still off diagonal after ``_MAX_SWEEPS`` sweeps raises NoConvergence.
     """
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     tol = DEFAULT_TOLERANCES
     zero_tol = tol.zero_tol
     m = as_matrix(h)
@@ -247,7 +240,7 @@ def diagonalize(h, max_sweeps: int = 30) -> JacobiResult:
     residuals: list[float] = []
     residual = off_norm(work)
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         sweeps += 1
         executed = 0
         for p in range(dim - 1):

@@ -1,13 +1,12 @@
 """Dense complex matrix arithmetic, predicates, and the matrix text format.
 
 Matrices are plain numpy arrays of dtype complex128 in row-major order.
-All comparisons use absolute tolerances; see :class:`Tolerances` for defaults.
+All comparisons use the fixed absolute tolerances of :class:`Tolerances`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +16,17 @@ from .errors import DimensionMismatch, ParseError
 HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
 class Tolerances:
-    """Absolute tolerances used throughout the pipeline."""
+    """Absolute tolerances used throughout the pipeline: fixed constants.
+    ``Tolerances()`` takes no arguments, and an instance has no attribute
+    of its own to assign."""
 
-    hermitian_tol: float = 1e-10
-    unitary_tol: float = 1e-10
-    zero_tol: float = 1e-12
-    sign_tol: float = 1e-8
-    verify_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+    __slots__ = ()
+    hermitian_tol = 1e-10
+    unitary_tol = 1e-10
+    zero_tol = 1e-12
+    sign_tol = 1e-8
+    verify_tol = 1e-9
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -129,11 +129,11 @@ def _site_run(gates) -> int:
     return end
 
 
-def build_circuit(h, max_sweeps: int = 30) -> tuple[Circuit, JacobiResult]:
+def build_circuit(h) -> tuple[Circuit, JacobiResult]:
     """The first step of :func:`synthesize`: :func:`diagonalize` ``h``,
     then :func:`assemble` its steps and signs. The circuit is not yet
     verified."""
-    result = diagonalize(h, max_sweeps)
+    result = diagonalize(h)
     n = len(result.signs).bit_length() - 1
     return assemble(result.steps, result.signs, n), result
 
@@ -199,25 +199,24 @@ def _diagonal(gates, n: int, phase: complex) -> np.ndarray:
     diagonal kinds, bit for bit, as a vector.
 
     Each gate scales the entries of its rows j by its entry u11 with the
-    product ``simulate`` uses, u11 times an array: numpy rounds a product
-    of two scalars, and one with its operands swapped, differently.
-    ``simulate`` returns ``phase * m[perm]``, which numpy computes in
-    place as ``m[perm] * phase`` once the temporary m[perm] reaches its
-    elision size of 256 KiB, that is from n = 7 on."""
+    product ``simulate`` uses, u11 times an array, and the phase scales
+    the result as in ``simulate``, phase times an array: numpy rounds a
+    product of two scalars, and one with its operands swapped,
+    differently."""
     d = np.ones(1 << n, dtype=complex)
     for gate in gates:
         j = _row_pairs(gate.target, gate.controls, n)[1]
         if type(j) is int:
             j = slice(j, j + 1)
         d[j] = gate_entries(gate.kind, gate.param)[3] * d[j]
-    return d * phase if n >= 7 else phase * d
+    return phase * d
 
 
 def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     """phase M C M^H, with M the simulated last k gates and C the gates
     between the first k and the last k. When ``k`` is at most
     :func:`mirror_depth` of the gates, this is the circuit's matrix up to
-    roundoff.
+    roundoff. A k outside 0..len(gates) // 2 raises ValueError.
 
     A centre of diagonal kinds is the vector d = phase diag(C)
     (:func:`_diagonal`), and the product M diag(d) M^H is formed one block
@@ -227,6 +226,8 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     half of any dense synthesized circuit, takes the whole product, and
     any other centre is simulated and multiplied whole."""
     gates, n = circuit.gates, circuit.n_qubits
+    if not 0 <= k <= len(gates) // 2:
+        raise ValueError(f"need 0 <= k <= {len(gates) // 2}, got {k}")
     cut = len(gates) - k
     m = simulate(Circuit(n, gates[cut:]))
     centre = gates[k:cut]
@@ -249,12 +250,9 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
 # diagonal). Measured on synthesized circuits cut to shorter mirrored
 # windows (2-core x86_64 host), it broke even at about 45, 110, 540,
 # 3000-5000 and 9000-15000 gates at n = 5..9, that is at N^3 / 2^9.5,
-# 2^11, 2^12, 2^12 and 2^13.4. The route is taken from
-# len(gates) << _MIRROR_SHIFT >= N^3 on: from 512 gates at n = 7 and
-# 4096 at n = 8. Below that, the product's cost is taken as the sum of
-# the cubed block sizes of h's nonzero pattern, N^3 for a dense h: a
-# diagonal centre's product is formed one block of M at a time, and the
-# blocks of M are those of h when the circuit is right.
+# 2^11, 2^12, 2^12 and 2^13.4. The route is taken when
+# len(gates) << _MIRROR_SHIFT reaches the product's cost: the sum of the
+# cubed block sizes of h's nonzero pattern, N^3 for one block.
 _MIRROR_SHIFT = 12
 
 
@@ -263,21 +261,21 @@ def circuit_error(circuit: Circuit, h) -> float:
 
     A circuit whose leading gates mirror its trailing ones
     (:func:`mirror_depth`), such as W^dagger D W, is computed by
-    :func:`mirror_matrix` when it is large for its size: when
-    len(gates) << _MIRROR_SHIFT reaches N^3, or else the sum of the cubed
-    block sizes of h's nonzero pattern. Any other circuit is simulated
-    whole. The pattern of h chooses the route only: a wrong circuit whose
-    M reaches across h's blocks forms its own larger blocks, so its error
-    is exact either way.
+    :func:`mirror_matrix` when len(gates) << _MIRROR_SHIFT reaches the
+    sum of the cubed block sizes of h's nonzero pattern: a diagonal
+    centre's product is formed one block of M at a time, and the blocks
+    of M are those of h when the circuit is right. Any other circuit is
+    simulated whole. The pattern of h chooses the route only: a wrong
+    circuit whose M reaches across h's blocks forms its own larger
+    blocks, so its error is exact either way.
     """
     gates = circuit.gates
-    cost = len(gates) << _MIRROR_SHIFT
-    big = cost >= 1 << 3 * circuit.n_qubits
-    if not big:
-        h = as_matrix(h)
-        blocks = _blocks(h)
-        big = blocks is not None and cost >= sum(idx.size * idx.shape[1] ** 2 for idx in blocks)
-    k = mirror_depth(gates) if big else 0
+    blocks = _blocks(as_matrix(h))
+    if blocks is None:
+        cost = 1 << 3 * circuit.n_qubits
+    else:
+        cost = sum(idx.size * idx.shape[1] ** 2 for idx in blocks)
+    k = mirror_depth(gates) if len(gates) << _MIRROR_SHIFT >= cost else 0
     return max_abs_diff(mirror_matrix(circuit, k) if k else simulate(circuit), h)
 
 
@@ -319,8 +317,8 @@ def verified_report(circuit: Circuit, h, result: JacobiResult) -> SynthesisRepor
     )
 
 
-def synthesize(h, max_sweeps: int = 30) -> tuple[Circuit, SynthesisReport]:
+def synthesize(h) -> tuple[Circuit, SynthesisReport]:
     """Decompose a Hermitian unitary into a gate circuit and verify it:
     :func:`build_circuit`, then :func:`verified_report`."""
-    circuit, result = build_circuit(h, max_sweeps)
+    circuit, result = build_circuit(h)
     return circuit, verified_report(circuit, h, result)

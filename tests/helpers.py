@@ -20,9 +20,11 @@ from hermsynth.circuit import (
 from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import BadDimension, NoConvergence, ParseError, RotationFailed
 from hermsynth.jacobi import (
+    _MAX_SWEEPS,
     JacobiResult,
     RotationStep,
-    _rotate_inplace,
+    _operands,
+    _rotate,
     rotation_params,
     snap_signs,
 )
@@ -142,8 +144,17 @@ def ordering_row_major(dim: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
+def rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
+    """Conjugate ``m`` by the two-level Q' of ``step`` in place, by the
+    kernel ``jacobi._rotate`` on fresh row and column views and operands."""
+    _rotate(
+        list(m), list(m.T), step.p, step.q, step.theta, step.alpha, zero_tol,
+        _operands(m.shape[0]),
+    )
+
+
 def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
-    """``jacobi._rotate_inplace`` as it was before its 0-d coefficient
+    """:func:`rotate_inplace` as it was before its 0-d coefficient
     operands: Python scalar coefficients and copied rows and columns. The
     kernel is held to these bits."""
     p, q = step.p, step.q
@@ -173,7 +184,7 @@ def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None
     m[q, q] = m[q, q].real
 
 
-def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
+def diagonalize_row_major(h) -> JacobiResult:
     """``jacobi.diagonalize`` as a scalar walk: every sweep tests each pair
     of ``ordering_row_major`` in turn and rotates it when its entry exceeds
     zero_tol, each by ``rotate_reference``. Inputs are not validated."""
@@ -186,7 +197,7 @@ def diagonalize_row_major(h, max_sweeps: int = 30) -> JacobiResult:
     residuals: list[float] = []
     residual = off_norm(work)
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         sweeps += 1
         executed = 0
         for p, q in ordering_row_major(dim):
@@ -219,7 +230,7 @@ def apply_rotation(
     m = as_matrix(a).copy()
     if step.q >= m.shape[0]:
         raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {m.shape[0]}")
-    _rotate_inplace(m, step, zero_tol)
+    rotate_inplace(m, step, zero_tol)
     return m
 
 

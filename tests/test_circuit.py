@@ -280,6 +280,18 @@ class TestSimulate:
         inv = Circuit(1, invert_gates(c.gates), c.global_phase.conjugate())
         assert np.array_equal(simulate(inv) @ simulate(c), np.eye(2))
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_global_phase_times_matrix(self, n):
+        # phase times the phase-free matrix, in that operand order, also
+        # where the matrix is 256 KiB or more: numpy computes an unnamed
+        # temporary that large in place, with the operands swapped
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            c = random_circuit(rng, n, 12)
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            phased = Circuit(n, c.gates, global_phase=phase)
+            assert np.array_equal(simulate(phased), np.multiply(phase, simulate(c)))
+
 
 def full_update_reference(circuit: Circuit) -> np.ndarray:
     """Every gate, X and the diagonal kinds included, applied by the full

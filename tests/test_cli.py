@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
-from hermsynth import cli, twolevel
+from hermsynth import cli, jacobi, twolevel
 from hermsynth.circuit import Circuit, Gate, GateKind, counts, load_circuit, save_circuit, serialize
 from hermsynth.cli import main
 from hermsynth.jacobi import diagonalize
@@ -163,13 +163,15 @@ class TestSynth:
         save_matrix(path, np.eye(3))
         assert main(["synth", str(path)]) == 3
 
-    def test_no_convergence_exit(self, ch_file):
-        assert main(["synth", ch_file, "--max-sweeps", "0"]) == 4
+    def test_no_convergence_exit(self, ch_file, monkeypatch):
+        monkeypatch.setattr(jacobi, "_MAX_SWEEPS", 0)
+        assert main(["synth", ch_file]) == 4
 
-    def test_negative_max_sweeps_exit(self, ch_file, cz_file, capsys):
-        for path in (ch_file, cz_file):
-            assert main(["synth", path, "--max-sweeps", "-3"]) == 3
-            assert "max_sweeps must be >= 0, got -3" in capsys.readouterr().err
+    def test_no_sweep_option(self, ch_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", ch_file, "--max-sweeps", "30"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-sweeps" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["synth", "/nonexistent/in.txt"]) == 2

@@ -22,10 +22,12 @@ from helpers import (
     ordering_row_major,
     phased_involution,
     random_hermitian_unitary,
+    rotate_inplace,
     rotate_reference,
     step_factors,
     two_level_matrix,
 )
+from hermsynth import jacobi
 from hermsynth.errors import (
     BadDimension,
     DiagonalNotPM1,
@@ -38,7 +40,6 @@ from hermsynth.errors import (
 from hermsynth.jacobi import (
     JacobiResult,
     RotationStep,
-    _rotate_inplace,
     diagonalize,
     rotation_params,
     snap_signs,
@@ -155,7 +156,7 @@ class TestApplyRotation:
         m = np.array([[0, 1], [1, 0]], dtype=complex)
         message = r"^pivot \(0, 1\) still 9\.553e-01 after rotation$"
         with pytest.raises(RotationFailed, match=message):
-            _rotate_inplace(m, RotationStep(0, 1, 0.3, 0.0), 1e-12)
+            rotate_inplace(m, RotationStep(0, 1, 0.3, 0.0), 1e-12)
         assert abs(m[0, 1]) == pytest.approx(math.cos(0.3))
 
 
@@ -180,7 +181,7 @@ class TestNonFinite:
         rotate_reference(reference, step, 1e-12)
         assert reference[0, 1] == 0.0
         with pytest.raises(RotationFailed, match=r"^pivot \(0, 1\) still nan after rotation$"):
-            _rotate_inplace(m, step, 1e-12)
+            rotate_inplace(m, step, 1e-12)
 
 
 def rotation_outcome(rotate, m: np.ndarray, step: RotationStep, zero_tol: float):
@@ -194,10 +195,10 @@ def rotation_outcome(rotate, m: np.ndarray, step: RotationStep, zero_tol: float)
 
 
 class TestKernelBits:
-    """``_rotate_inplace`` holds its coefficients in 0-d arrays and writes
-    rows and columns in place; it must give every bit that
-    ``rotate_reference``, the kernel as it was with Python scalars and
-    copies, gives."""
+    """The kernel ``jacobi._rotate``, run by ``rotate_inplace``, holds its
+    coefficients in 0-d arrays and writes rows and columns in place; it
+    must give every bit that ``rotate_reference``, the kernel as it was
+    with Python scalars and copies, gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -228,7 +229,7 @@ class TestKernelBits:
             alpha = data.draw(st.sampled_from([0.0, -2.5, 0.7, math.pi]), label="alpha")
         step = RotationStep(p, q, theta, alpha)
         zero_tol = DEFAULT_TOLERANCES.zero_tol
-        got = rotation_outcome(_rotate_inplace, h.copy(), step, zero_tol)
+        got = rotation_outcome(rotate_inplace, h.copy(), step, zero_tol)
         assert got == rotation_outcome(rotate_reference, h.copy(), step, zero_tol)
 
 
@@ -376,15 +377,10 @@ class TestDiagonalize:
         with pytest.raises(BadDimension):
             diagonalize(np.eye(3))
 
-    def test_no_convergence_when_sweeps_exhausted(self):
+    def test_no_convergence_when_sweeps_exhausted(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "_MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):
-            diagonalize(CH_EMBED, max_sweeps=0)
-
-    @pytest.mark.parametrize("h", [CH_EMBED, CZ_EMBED], ids=["ch", "diagonal"])
-    def test_rejects_negative_max_sweeps(self, h):
-        # not a convergence failure, and not a pass on an already diagonal input
-        with pytest.raises(ValueError, match="^max_sweeps must be >= 0, got -1$"):
-            diagonalize(h, max_sweeps=-1)
+            diagonalize(CH_EMBED)
 
     def test_snap_succeeds_for_hermitian_unitaries(self):
         # both predicates true implies the sign snap goes through

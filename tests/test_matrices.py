@@ -248,9 +248,14 @@ class TestTolerances:
         t = Tolerances()
         assert t.zero_tol == 1e-12 and t.verify_tol == 1e-9
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+    def test_fixed(self):
+        # no argument to set, and no attribute to assign
+        with pytest.raises(TypeError):
             Tolerances(zero_tol=0.0)
+        t = Tolerances()
+        with pytest.raises(AttributeError):
+            t.zero_tol = 0.0
+        assert t.zero_tol == DEFAULT_TOLERANCES.zero_tol == 1e-12
 
 
 class TestTextFormat:

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -242,6 +243,10 @@ class TestSynthesize:
         assert len(circuit.gates) == 1
         assert counts(circuit) == {"CZ": 1}
         assert report.verify_error <= 1e-12
+
+    def test_entry_points_take_only_h(self):
+        for fn in (synthesize, build_circuit, diagonalize):
+            assert tuple(inspect.signature(fn).parameters) == ("h",)
 
     def test_ch_unoptimized_shape(self):
         circuit = assemble_whole(diagonalize(CH_EMBED), 2)
@@ -545,6 +550,17 @@ class TestMirrorRoute:
         reference = simulate(circuit)
         for depth in {half, k}:
             assert max_abs_diff(mirror_matrix(circuit, depth), reference) <= 1e-12
+
+    def test_mirror_matrix_rejects_k_out_of_range(self):
+        # k = len(gates) would read every gate as M and M^H around an empty
+        # centre, the identity for any circuit, and a negative k a suffix
+        ry = Gate(GateKind.RY, 1, ((0, True),), 0.3)
+        circuit = Circuit(2, (ry, Gate(GateKind.X, 1, ((0, True),)), Gate(GateKind.H, 0)))
+        for k in (3, 2, -1):
+            with pytest.raises(ValueError, match=rf"^need 0 <= k <= 1, got {k}$"):
+                mirror_matrix(circuit, k)
+        assert np.array_equal(mirror_matrix(circuit, 0), simulate(circuit))
+        assert mirror_matrix(circuit, 1).shape == (4, 4)
 
     def test_route_by_size(self, monkeypatch):
         # len(gates) << 12 >= N^3 takes the route: at n = 2 from one gate
