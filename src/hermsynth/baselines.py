@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, gate_matrix
+from .circuit import Circuit, Gate, GateKind, gate_matrix, invert_gates
 from .errors import IsPlusMinusIdentity, NotHermitianUnitary
 from .matrices import DEFAULT_TOLERANCES, HALF_PI, as_matrix, is_hermitian, is_unitary
 
@@ -65,54 +65,45 @@ def h2_params(u) -> H2Params:
     return H2Params(theta, alpha)
 
 
+def _outer(target: int, alpha: float, tilt: float) -> tuple[Gate, ...]:
+    """B of a B D B^-1 form: PHASE(-alpha) then RY(tilt), uncontrolled on
+    ``target``, each dropped when its angle is within _ANGLE_EPS of zero."""
+    gates: tuple[Gate, ...] = ()
+    if abs(alpha) > _ANGLE_EPS:
+        gates += (Gate(GateKind.PHASE, target, (), -alpha),)
+    if abs(tilt) > _ANGLE_EPS:
+        gates += (Gate(GateKind.RY, target, (), tilt),)
+    return gates
+
+
 def jacobi_cu(params: H2Params, k: int) -> Circuit:
     """Controlled Hermitian gate as rotations conjugating one C^k Z, on
     k + 1 wires: positive controls on wires 0..k-1, the target on wire k.
 
     Produces, in time order, PHASE(-alpha), RY(theta), C^k Z, RY(-theta),
-    PHASE(alpha), with the outer single-qubit gates uncontrolled (the two
-    sides are mutual inverses, so control-off states cancel). Zero angles
-    are dropped; C Z alone comes back for diag(1, -1).
+    PHASE(alpha): B D B^-1 with B the outer single-qubit gates, uncontrolled
+    (the two sides are mutual inverses, so control-off states cancel). Zero
+    angles are dropped; C Z alone comes back for diag(1, -1).
     """
     if k < 0:
         raise ValueError("control count must be nonnegative")
-    target = k
-    controls = tuple((q, True) for q in range(k))
-    theta, alpha = params.theta, params.alpha
-    gates: list[Gate] = []
-    if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.PHASE, target, (), -alpha))
-    if abs(theta) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RY, target, (), theta))
-    gates.append(Gate(GateKind.Z, target, controls))
-    if abs(theta) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RY, target, (), -theta))
-    if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.PHASE, target, (), alpha))
-    return Circuit(k + 1, tuple(gates))
+    outer = _outer(k, params.alpha, params.theta)
+    centre = Gate(GateKind.Z, k, tuple((q, True) for q in range(k)))
+    return Circuit(k + 1, outer + (centre,) + invert_gates(outer))
 
 
 def barenco_cu(params: H2Params) -> Circuit:
     """CNOT-based conjugation on two qubits (control 0, target 1).
 
     Time order: PHASE(-alpha), RY(theta - pi/2), CNOT, RY(pi/2 - theta),
-    PHASE(alpha) on the target. The ABC form's pair RZ(-alpha), RZ(alpha)
-    is this PHASE pair times the global phases e^{i alpha/2} and
-    e^{-i alpha/2}, which cancel, so the identity is phase exact.
+    PHASE(alpha) on the target, a B D B^-1 form with D the CNOT. The ABC
+    form's pair RZ(-alpha), RZ(alpha) is this PHASE pair times the global
+    phases e^{i alpha/2} and e^{-i alpha/2}, which cancel, so the identity
+    is phase exact.
     """
-    theta, alpha = params.theta, params.alpha
-    tilt = theta - HALF_PI
-    gates: list[Gate] = []
-    if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.PHASE, 1, (), -alpha))
-    if abs(tilt) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RY, 1, (), tilt))
-    gates.append(Gate(GateKind.X, 1, ((0, True),)))
-    if abs(tilt) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.RY, 1, (), -tilt))
-    if abs(alpha) > _ANGLE_EPS:
-        gates.append(Gate(GateKind.PHASE, 1, (), alpha))
-    return Circuit(2, tuple(gates))
+    outer = _outer(1, params.alpha, params.theta - HALF_PI)
+    centre = Gate(GateKind.X, 1, ((0, True),))
+    return Circuit(2, outer + (centre,) + invert_gates(outer))
 
 
 _NAMED_REAL = (GateKind.H, GateKind.X, GateKind.Z)

@@ -68,6 +68,9 @@ class GateKind(Enum):
     Z = "Z", False, True, (1 + 0j, 0j, 0j, -1 + 0j)
     H = "H", False, False, (complex(_SQRT1_2),) * 3 + (complex(-_SQRT1_2),)
 
+    # members are singletons that compare by identity
+    __hash__ = object.__hash__
+
 
 def gate_entries(kind: GateKind, param: float | None) -> tuple[complex, complex, complex, complex]:
     """Row-major entries of the gate's 2x2 matrix (``param`` is the angle
@@ -343,6 +346,33 @@ def invert_gates(gates) -> tuple[Gate, ...]:
     return tuple(map(invert_gate, reversed(tuple(gates))))
 
 
+def mirror_depth(gates) -> int:
+    """The number k of leading gates that literally mirror the trailing
+    ones: for every i < k, ``gates[i]`` has the kind, the target, the
+    controls and the negated angle of ``gates[-1-i]``. The first k gates
+    then multiply to the inverse of the last k exactly.
+
+    The pairs come from ``zip`` over the first half and the reversed
+    gates, and a parametric kind is told by its angle (a fixed kind has
+    none); the loop measured faster than chains of C-level ``map`` and
+    ``compress``, which build a tuple or call a getter per field."""
+    k = 0
+    for a, b in zip(islice(gates, len(gates) // 2), reversed(gates)):
+        if (
+            a.kind is not b.kind
+            or a.target != b.target
+            or a.controls != b.controls
+            or (a.param is not None and a.param != -b.param)
+        ):
+            break
+        k += 1
+    return k
+
+
+_kind = attrgetter("kind")
+_controls = attrgetter("controls")
+
+
 def counts(circuit: Circuit) -> dict[str, int]:
     """Histogram over gate classes: CZ, CNOT, MCX, MCZ, MCRY, MCPHASE, MCH
     and single.
@@ -351,37 +381,29 @@ def counts(circuit: Circuit) -> dict[str, int]:
     with one control is CZ or CNOT, with more it is MCZ or MCX; a PHASE
     with controls counts as MCPHASE, and a controlled H as MCH, whatever
     its number of controls.
-    Gates are counted by (kind, number of controls) in one C-level pass,
-    then each pair is added to its class; a class keeps the place of its
-    first gate in the dict's order.
+    The last k = :func:`mirror_depth` gates have the kinds and control
+    counts of the first k, so the first k are counted twice and the centre
+    between them once, by (kind, number of controls) in C-level passes.
+    Each pair is then added to its class; a class keeps the place of its
+    first gate in the dict's order, as in a walk over every gate.
     """
-    return _class_counts(Counter(_kind_controls(circuit.gates)))
-
-
-_kind_value = attrgetter("kind._value_")
-_controls = attrgetter("controls")
-
-
-def _kind_controls(gates):
-    """The (kind value, number of controls) of each gate, lazily. Kinds are
-    counted by their value strings: an Enum member hashes in Python."""
-    return zip(map(_kind_value, gates), map(len, map(_controls, gates)))
-
-
-def _class_counts(pairs: Counter) -> dict[str, int]:
-    """:func:`counts` of the gates counted by (kind value, number of
-    controls) in ``pairs``, in the order of ``pairs``."""
+    gates = circuit.gates
+    k = mirror_depth(gates)
+    head, centre = gates[:k], gates[k : len(gates) - k]
+    pairs = Counter(zip(map(_kind, head), map(len, map(_controls, head))))
+    for pair in pairs:
+        pairs[pair] *= 2
+    pairs.update(zip(map(_kind, centre), map(len, map(_controls, centre))))
     hist: dict[str, int] = {}
-    for (value, k), count in pairs.items():
-        kind = GateKind(value)
-        if k == 0:
+    for (kind, ctl), count in pairs.items():
+        if ctl == 0:
             key = "single"
         elif kind is GateKind.Z:
-            key = "CZ" if k == 1 else "MCZ"
+            key = "CZ" if ctl == 1 else "MCZ"
         elif kind is GateKind.X:
-            key = "CNOT" if k == 1 else "MCX"
+            key = "CNOT" if ctl == 1 else "MCX"
         else:
-            key = "MC" + value
+            key = "MC" + kind.value
         hist[key] = hist.get(key, 0) + count
     return hist
 
@@ -409,7 +431,7 @@ def serialize(circuit: Circuit) -> str:
     ]
     heads: dict[tuple, str] = {}  # (kind, target, controls) -> line text through "params="
     for g in circuit.gates:
-        site = (g.kind._value_, g.target, g.controls)  # an Enum member hashes in Python
+        site = (g.kind, g.target, g.controls)
         head = heads.get(site)
         if head is None:
             parts = [f"gate {g.kind.value}", f"target={g.target}"]

@@ -8,10 +8,8 @@ the controlled rotation fires on that pair, and the ladder unwinds.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -19,11 +17,11 @@ from .circuit import (
     Circuit,
     Gate,
     GateKind,
-    _class_counts,
-    _kind_controls,
     _row_pairs,
+    counts,
     gate_entries,
     invert_gates,
+    mirror_depth,
     simulate,
 )
 from .diagonal import synthesize_sign_diagonal
@@ -171,29 +169,6 @@ def assemble(steps, signs, n: int) -> Circuit:
     return Circuit(n, gates, global_phase=phase)
 
 
-def mirror_depth(gates) -> int:
-    """The number k of leading gates that literally mirror the trailing
-    ones: for every i < k, ``gates[i]`` has the kind, the target, the
-    controls and the negated angle of ``gates[-1-i]``. The first k gates
-    then multiply to the inverse of the last k exactly.
-
-    The pairs come from ``zip`` over the first half and the reversed
-    gates, and a parametric kind is told by its angle (a fixed kind has
-    none); the loop measured faster than chains of C-level ``map`` and
-    ``compress``, which build a tuple or call a getter per field."""
-    k = 0
-    for a, b in zip(islice(gates, len(gates) // 2), reversed(gates)):
-        if (
-            a.kind is not b.kind
-            or a.target != b.target
-            or a.controls != b.controls
-            or (a.param is not None and a.param != -b.param)
-        ):
-            break
-        k += 1
-    return k
-
-
 def _diagonal(gates, n: int, phase: complex) -> np.ndarray:
     """The diagonal of ``simulate(Circuit(n, gates, phase))`` for gates of
     diagonal kinds, bit for bit, as a vector.
@@ -293,21 +268,9 @@ def verify_circuit(circuit: Circuit, h) -> float:
 
 def verified_report(circuit: Circuit, h, result: JacobiResult) -> SynthesisReport:
     """The second step of :func:`synthesize`: verify ``circuit`` against
-    ``h`` with :func:`verify_circuit` and report on it.
-
-    The gate counts are 2 x counts(first k) + counts(centre), with k the
-    :func:`mirror_depth`: the first k gates have the kinds and control
-    counts of the last k. Counting the first k, then the centre, keeps the
-    class order of :func:`~hermsynth.circuit.counts` of the whole circuit.
-    """
-    gates = circuit.gates
-    k = mirror_depth(gates)
-    pairs = Counter(_kind_controls(gates[:k]))
-    for pair in pairs:
-        pairs[pair] *= 2
-    pairs.update(_kind_controls(gates[k : len(gates) - k]))
+    ``h`` with :func:`verify_circuit` and report on it."""
     return SynthesisReport(
-        gate_counts=_class_counts(pairs),
+        gate_counts=counts(circuit),
         sweeps=result.sweeps,
         rotations_executed=len(result.steps),
         sweep_rotations=result.sweep_rotations,

@@ -336,7 +336,7 @@ def apply_gate_full(t: np.ndarray, gate: Gate) -> None:
 
 
 def mirror_depth_reference(gates) -> int:
-    """``twolevel.mirror_depth`` as an index walk: the first k with
+    """``circuit.mirror_depth`` as an index walk: the first k with
     ``gates[k]`` and ``gates[-1-k]`` differing in kind, target, controls or
     negated angle, for k below the middle."""
     last = len(gates) - 1
@@ -352,6 +352,28 @@ def mirror_depth_reference(gates) -> int:
             break
         k += 1
     return k
+
+
+# --- reference for the gate counts ---------------------------------------------
+
+
+def counts_reference(circuit: Circuit) -> dict[str, int]:
+    """``circuit.counts`` as one walk over every gate: each gate is added
+    to its class in time order, so a class keeps the place of its first
+    gate."""
+    hist: dict[str, int] = {}
+    for g in circuit.gates:
+        k = len(g.controls)
+        if k == 0:
+            key = "single"
+        elif g.kind is GateKind.Z:
+            key = "CZ" if k == 1 else "MCZ"
+        elif g.kind is GateKind.X:
+            key = "CNOT" if k == 1 else "MCX"
+        else:
+            key = "MC" + g.kind.value
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 # --- references for the circuit text format ----------------------------------

@@ -46,7 +46,7 @@ def test_entry_points_are_covered():
         "twolevel.verified_report",
         "twolevel.verify_circuit",
         "twolevel.circuit_error",
-        "twolevel.mirror_depth",
+        "circuit.mirror_depth",
         "twolevel.mirror_matrix",
         "diagonal.synthesize_sign_diagonal",
         "baselines.jacobi_cu",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     CH_EMBED,
@@ -16,6 +16,7 @@ from helpers import (
     assemble_whole,
     block_direct_sum,
     controlled_u,
+    counts_reference,
     emit_two_level_gray,
     full_rounds_reference,
     mirror_depth_reference,
@@ -499,6 +500,29 @@ def mirrored_circuits(draw):
     return Circuit(n, invert_gates(forward) + centre + forward, phase), len(forward)
 
 
+@st.composite
+def mutated_circuits(draw):
+    """A mirrored circuit with one first-half gate replaced by another
+    drawn gate, of any kind and controls."""
+    circuit, half = draw(mirrored_circuits().filter(lambda case: case[1]))
+    i = draw(st.integers(0, half - 1), label="mutated gate")
+    new = draw(gate_lists(circuit.n_qubits, list(GateKind), 1).filter(len))[0]
+    gates = circuit.gates[:i] + (new,) + circuit.gates[i + 1 :]
+    return Circuit(circuit.n_qubits, gates, circuit.global_phase)
+
+
+unmirrored_circuits = st.integers(1, 5).flatmap(
+    lambda n: gate_lists(n, list(GateKind), 30).map(lambda gates: Circuit(n, gates))
+)
+
+
+# k = 2 mirrored gates around a centre where MCZ and single first appear
+_HALF = (Gate(GateKind.X, 0, ((1, True), (2, False))), Gate(GateKind.RY, 2, ((0, True),), 0.3))
+CENTRE_FIRST = Circuit(3, invert_gates(_HALF) + (
+    Gate(GateKind.Z, 0, ((1, True), (2, True))), Gate(GateKind.PHASE, 1, (), 0.5), _HALF[0],
+) + _HALF)
+
+
 class TestMirrorRoute:
     """W^dagger C W as phase M C M^H: M is the simulated half, C the centre."""
 
@@ -540,6 +564,16 @@ class TestMirrorRoute:
         mutated = gates[:i] + (new,) + gates[i + 1 :]
         assert mirror_depth(mutated) == mirror_depth_reference(mutated)
         assert mirror_depth(list(mutated)) == mirror_depth(mutated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        mirrored_circuits().map(lambda case: case[0]), mutated_circuits(), unmirrored_circuits
+    ))
+    @example(CENTRE_FIRST)
+    def test_counts_match_reference(self, circuit):
+        # counts() reads the first k gates twice and the centre once; the
+        # reference walks every gate, so class order is checked too
+        assert list(counts(circuit).items()) == list(counts_reference(circuit).items())
 
     @settings(max_examples=80, deadline=None)
     @given(mirrored_circuits())
@@ -665,13 +699,13 @@ class TestMirrorRoute:
     @pytest.mark.parametrize("name, h", BUILD_INPUTS, ids=[name for name, _ in BUILD_INPUTS])
     def test_report_counts_equal_counts(self, name, h, lib):
         # the report counts the first k gates twice and the centre once; the
-        # classes must come in the order of counts() of the whole circuit.
+        # classes must come in the order of a walk over every gate.
         # In the CNOT library the centre of C^k U is an X, not diagonal.
         circuit, result = build_circuit(h)
         if lib == "cnot":
             circuit = rewrite_cz_cnot(circuit, lib)
         report = twolevel.verified_report(circuit, h, result)
-        assert list(report.gate_counts.items()) == list(counts(circuit).items())
+        assert list(report.gate_counts.items()) == list(counts_reference(circuit).items())
 
     def test_report_counts_of_mutated_first_half(self, monkeypatch):
         # one first-half gate replaced on its site or stripped of its
@@ -696,7 +730,9 @@ class TestMirrorRoute:
                     mutated = Circuit(n, gates[:i] + (new,) + gates[i + 1 :], circuit.global_phase)
                     assert mirror_depth(mutated.gates) == i
                     report = twolevel.verified_report(mutated, h, result)
-                    assert list(report.gate_counts.items()) == list(counts(mutated).items())
+                    assert list(report.gate_counts.items()) == list(
+                        counts_reference(mutated).items()
+                    )
 
     def test_mutated_first_half_fails(self):
         # one first-half angle off by 1e-7: the literal match stops there,
