@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from numpy import add, multiply, subtract
@@ -27,10 +28,11 @@ from .errors import (
 from .matrices import (
     DEFAULT_TOLERANCES,
     HALF_PI,
+    _blocks,
+    _off_norm,
     as_matrix,
     is_hermitian,
     is_unitary,
-    off_norm,
 )
 
 # The sweep cap, a safety bound only: the dense inputs measured up to n = 8
@@ -200,24 +202,78 @@ def snap_signs(diag_entries) -> tuple[int, ...]:
     return tuple(signs)
 
 
+def _block_mates(m: np.ndarray) -> list[tuple[int, list[int]]] | None:
+    """(p, the block-mates of p above p) for each index p that has any,
+    by ascending p, the mates ascending; None when m's nonzero pattern is
+    one block (:func:`_blocks`)."""
+    blocks = _blocks(m)
+    if blocks is None:
+        return None
+    mates = [
+        (block[i], block[i + 1 :])
+        for idx in blocks
+        if idx.shape[1] > 1
+        for block in idx.tolist()
+        for i in range(len(block) - 1)
+    ]
+    mates.sort(key=itemgetter(0))
+    return mates
+
+
+def _pivots(rows, mates, zero_tol: float):
+    """The pivots (p, q), p < q, of one sweep in row-major order: each
+    entry above zero_tol when the sweep reaches it, read from row p as the
+    last rotation left it, so the caller rotates each pivot before the
+    next is looked for.
+
+    With ``mates`` from :func:`_block_mates`, row p's candidates are its
+    block-mates above p. A rotation at (p, q) mixes only rows and columns
+    of one block, so every entry between two blocks stays an exact (+/-)
+    zero and is never a pivot. For one block (``mates`` None) the entry
+    just past q is tested directly, and when it fails, row p is scanned as
+    one array for its first entry above zero_tol past q: a dense row costs
+    one scalar test per rotation, and the zeros of a sparse row no
+    Python-level work."""
+    if mates is not None:
+        for p, later in mates:
+            row = rows[p]
+            for q in later:
+                if abs(row.item(q)) > zero_tol:
+                    yield p, q
+        return
+    last = len(rows) - 1
+    for p in range(last):
+        row, q = rows[p], p
+        while q < last:
+            k = 0
+            if abs(row.item(q + 1)) <= zero_tol:
+                above = np.abs(row[q + 1 :]) > zero_tol
+                k = int(above.argmax())  # the first True, or 0 if none
+                if not above[k]:
+                    break
+            q += 1 + k
+            yield p, q
+
+
 def diagonalize(h) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
     Each sweep rotates, in row-major order, every pair (p, q) with p < q
-    whose entry exceeds zero_tol when the sweep reaches it. The entry just
-    past q is tested directly; when it fails, row p is scanned as one array
-    for its first such entry past q. A rotation rewrites row p, so the
-    search resumes past the rotated q on the new values. That rotates the
-    same pairs in the same order as testing each entry in turn, while a
-    dense row costs one scalar test per rotation and the zero entries of a
-    sparse input cost no Python-level work. Sweeps
-    repeat until off_norm <= zero_tol * dim. Cyclic Jacobi can refill
-    previously zeroed entries, hence the multi-sweep loop. The +/-1 spectrum
-    of these inputs is highly degenerate, so convergence is close to linear
-    rather than quadratic: random dense inputs take 2, 3-6, 4-9, 9-11 and
-    12-13 sweeps at n = 2..6, the early sweeps rotating nearly all N(N-1)/2
-    pairs. The tolerances are the fixed DEFAULT_TOLERANCES, and an input
-    still off diagonal after ``_MAX_SWEEPS`` sweeps raises NoConvergence.
+    whose entry exceeds zero_tol when the sweep reaches it
+    (:func:`_pivots`). The input's blocks are labelled once: when its
+    nonzero pattern has more than one, row p tests only its block-mates
+    above p, so a block-sparse input costs what its blocks cost; a dense
+    input keeps the one-array scan of each row past the last pivot. Either
+    rotates the same pairs in the same order as testing each entry in
+    turn. Sweeps repeat until off_norm <= zero_tol * dim. Cyclic Jacobi
+    can refill previously zeroed entries, hence the multi-sweep loop. The
+    +/-1 spectrum of these inputs is highly degenerate, so convergence is
+    close to linear rather than quadratic: random dense inputs take 2,
+    3-6, 4-9, 9-11 and 12-13 sweeps at n = 2..6, the early sweeps rotating
+    nearly all N(N-1)/2 pairs. The residuals are taken without validating
+    the work matrix again. The tolerances are the fixed DEFAULT_TOLERANCES,
+    and an input still off diagonal after ``_MAX_SWEEPS`` sweeps raises
+    NoConvergence.
     """
     tol = DEFAULT_TOLERANCES
     zero_tol = tol.zero_tol
@@ -234,37 +290,25 @@ def diagonalize(h) -> JacobiResult:
     # views of every row and column, and the kernel's operands, built once
     rows, cols = list(work), list(work.T)
     operands = _operands(dim)
+    mates = _block_mates(m)
     threshold = zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
     residuals: list[float] = []
-    residual = off_norm(work)
+    residual = _off_norm(work)
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         executed = 0
-        for p in range(dim - 1):
-            row, q = rows[p], p
-            while q < dim - 1:
-                # the first entry past q above zero_tol, in row p as the
-                # last rotation left it: on dense inputs almost always the
-                # next one, so the row is scanned only when that one fails
-                k = 0
-                if abs(row.item(q + 1)) <= zero_tol:
-                    above = np.abs(row[q + 1 :]) > zero_tol
-                    k = int(above.argmax())  # the first True, or 0 if none
-                    if not above[k]:
-                        break
-                q += 1 + k
-                theta, alpha = rotation_params(
-                    row.item(p).real, rows[q].item(q).real, row.item(q)
-                )
-                step = _new_step(p, q, theta, alpha)
-                _rotate(rows, cols, p, q, theta, alpha, zero_tol, operands)
-                steps.append(step)
-                executed += 1
+        for p, q in _pivots(rows, mates, zero_tol):
+            row = rows[p]
+            theta, alpha = rotation_params(row.item(p).real, rows[q].item(q).real, row.item(q))
+            step = _new_step(p, q, theta, alpha)
+            _rotate(rows, cols, p, q, theta, alpha, zero_tol, operands)
+            steps.append(step)
+            executed += 1
         per_sweep.append(executed)
-        residual = off_norm(work)
+        residual = _off_norm(work)
         residuals.append(residual)
         if residual <= threshold:
             break

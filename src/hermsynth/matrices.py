@@ -43,30 +43,45 @@ def as_matrix(a) -> np.ndarray:
 
 
 def is_hermitian(a) -> bool:
-    m = as_matrix(a)
-    return float(np.max(np.abs(m - m.conj().T))) <= DEFAULT_TOLERANCES.hermitian_tol
+    """Whether max |m - m^H| is within ``hermitian_tol``.
+
+    The difference is formed one block of m's nonzero pattern at a time
+    (:func:`_stacks`): i and j sit in one block whenever m[i, j] or m[j, i]
+    is nonzero, so between two blocks both entries are exact zeros and so
+    is their difference. A pattern that is one block, such as any dense
+    input, takes the whole difference."""
+    tol = DEFAULT_TOLERANCES.hermitian_tol
+    for b in _stacks(as_matrix(a)):
+        if float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) > tol:
+            return False
+    return True
 
 
 def is_unitary(a) -> bool:
     """Whether m m^H is the identity within ``unitary_tol``.
 
     The product is formed one block of m's nonzero pattern at a time
-    (:func:`_blocks`), batched by block size: between two blocks every
-    term of m m^H is an exact zero, as in the identity. A pattern that is
-    one block, such as any dense input, takes the whole product."""
-    m = as_matrix(a)
-    blocks = _blocks(m)
-    if blocks is None:
-        stacks = (m[None],)
-    else:
-        stacks = (m[idx[:, :, None], idx[:, None, :]] for idx in blocks)
-    for b in stacks:
+    (:func:`_stacks`): between two blocks every term of m m^H is an exact
+    zero, as in the identity. A pattern that is one block, such as any
+    dense input, takes the whole product."""
+    for b in _stacks(as_matrix(a)):
         deviation = b @ b.conj().transpose(0, 2, 1)
         diagonal = np.arange(b.shape[1])
         deviation[:, diagonal, diagonal] -= 1.0
         if float(np.max(np.abs(deviation))) > DEFAULT_TOLERANCES.unitary_tol:
             return False
     return True
+
+
+def _stacks(m: np.ndarray):
+    """The blocks of m's nonzero pattern (:func:`_blocks`) as stacks of
+    square submatrices, one (count, size, size) stack per block size and
+    each taken when it is reached; the whole matrix as one stack of one
+    when the pattern is one block."""
+    blocks = _blocks(m)
+    if blocks is None:
+        return (m[None],)
+    return (m[idx[:, :, None], idx[:, None, :]] for idx in blocks)
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
@@ -112,10 +127,21 @@ def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
 
 
 def off_norm(a) -> float:
-    """Frobenius norm of the off-diagonal part (complex moduli)."""
-    off = as_matrix(a).copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+    """Frobenius norm of the off-diagonal part (complex moduli), without a
+    complex copy of the matrix (:func:`_off_norm`)."""
+    return _off_norm(as_matrix(a))
+
+
+def _off_norm(m: np.ndarray) -> float:
+    """:func:`off_norm` of a matrix already validated by :func:`as_matrix`.
+    The moduli go into a new row-major float array (numpy sums an array in
+    its memory order), whose diagonal is zeroed and which is squared in
+    place: the values and the summation order of the moduli of a row-major
+    complex copy with its diagonal zeroed, without that copy."""
+    mags = np.abs(m, order="C")
+    np.fill_diagonal(mags, 0.0)
+    np.square(mags, out=mags)
+    return float(np.sqrt(np.sum(mags)))
 
 
 def max_abs_diff(a, b) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermsynth.circuit import Circuit, Gate, GateKind, serialize, simulate
-from hermsynth.diagonal import synthesize_sign_diagonal
+from hermsynth.diagonal import _monomial_tables, synthesize_sign_diagonal
 from hermsynth.errors import BadDimension
 
 
@@ -158,8 +158,9 @@ class TestRoundTrip:
 # sha256 of the serialized circuits (gates, their order and the phase), which
 # no change to synthesize_sign_diagonal may alter, since they reach every
 # synthesized circuit: every sign vector at n = 1..3 in itertools.product
-# order, and 200 vectors per n at n = 4..8 drawn from
-# random.Random(7000 + n).getrandbits(2^n).
+# order, and 200 vectors per n at n = 4..10 drawn from
+# random.Random(7000 + n).getrandbits(2^n). The hashes were recorded from
+# the per-index Moebius transform that built every gate on each call.
 EXHAUSTIVE_SHA256 = {
     1: "c55ccaae6eefee5fe92572bcbee23af3b011ce2bceaef311a2a36bc9a68aeabf",
     2: "ff3553451c65ce958e06be506c32e7696df5f7cec2230385df884775ce286481",
@@ -171,6 +172,8 @@ RANDOM_SHA256 = {
     6: "d35fa495e1139f62ad6ed8e04f1b8791efbbe74d2de8d03269b37e7334d10b87",
     7: "775a464960024f8d636134efab5bab0dff00f756c93fbe620fe1e5e16c448f4d",
     8: "eba0f2ffbedaed090e2d641e76b2834b95b9b7db15e0f1a55277fc6e7b1faf47",
+    9: "c6d44935f9873e12b52bafe7123cafbefcabca0016858e865195db22c0aca7f7",
+    10: "073052e659db86bc8c62c7b48efa798f6d18a6dd2fd992725ef4076b37662c70",
 }
 
 
@@ -195,9 +198,28 @@ class TestPinned:
         texts = (diagonal_text(c) for c in itertools.product((1, -1), repeat=1 << n))
         assert digest(texts) == EXHAUSTIVE_SHA256[n]
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
     def test_random(self, n):
         rng = random.Random(7000 + n)
         size = 1 << n
         texts = (diagonal_text(signs_of(rng.getrandbits(size), size)) for _ in range(200))
         assert digest(texts) == RANDOM_SHA256[n]
+
+
+class TestMonomialTables:
+    """The per-n memo: 2^n - 1 monomials and gates, shared by every call,
+    and the same text when rebuilt."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_size_and_rebuild(self, n):
+        rng = random.Random(n)
+        vectors = [signs_of(rng.getrandbits(1 << n), 1 << n) for _ in range(20)]
+        texts = [diagonal_text(v) for v in vectors]
+        order, gates = _monomial_tables(n)
+        assert len(gates) == len(order) == len(set(order.tolist())) == (1 << n) - 1
+        assert sorted(order.tolist()) == list(range(1, 1 << n))
+        drawn, _ = synthesize_sign_diagonal(signs_of(rng.getrandbits(1 << n), 1 << n))
+        assert all(any(g is t for t in gates) for g in drawn)
+        _monomial_tables.cache_clear()
+        assert [diagonal_text(v) for v in vectors] == texts
+        assert _monomial_tables(n)[1] is not gates

@@ -18,6 +18,7 @@ from helpers import (
     apply_rotation,
     block_direct_sum,
     charpoly_coeffs,
+    controlled_u,
     diagonalize_row_major,
     ordering_row_major,
     phased_involution,
@@ -47,6 +48,7 @@ from hermsynth.jacobi import (
 from hermsynth.matrices import (
     DEFAULT_TOLERANCES,
     HALF_PI,
+    _blocks,
     is_hermitian,
     is_unitary,
     max_abs_diff,
@@ -373,6 +375,20 @@ class TestDiagonalize:
         with pytest.raises(NotUnitary):
             diagonalize(np.diag([1.0, 0.5]))
 
+    def test_sparse_rejected_as_non_hermitian_first(self):
+        # a block-sparse input scaled off unitarity, with one unmirrored
+        # entry that joins two of its blocks: neither predicate holds, and
+        # the Hermitian check comes first
+        rng = np.random.default_rng(31)
+        h = 1.5 * block_direct_sum(rng, 5)
+        h[0, 4] = 1e-6
+        p = rng.permutation(32)
+        for m in (h, h[np.ix_(p, p)]):
+            assert _blocks(m) is not None
+            assert not is_hermitian(m) and not is_unitary(m)
+            with pytest.raises(NotHermitian):
+                diagonalize(m)
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(BadDimension):
             diagonalize(np.eye(3))
@@ -391,7 +407,8 @@ class TestDiagonalize:
 
 
 class TestRowScan:
-    """``diagonalize`` finds each row's next pivot with one array scan; it
+    """``diagonalize`` finds each row's next pivot with one array scan on an
+    input of one block, and among the row's block-mates on any other; it
     must rotate exactly the pairs the scalar row-major walk rotates. Result
     equality compares every field, each step's angles exactly."""
 
@@ -402,10 +419,14 @@ class TestRowScan:
             h = random_hermitian_unitary(rng, 1 << n)
             assert diagonalize(h) == diagonalize_row_major(h)
 
-    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_sparse(self, n):
+        # phased involutions (transpositions and fixed points) and direct
+        # sums: blocks of sizes 1 and 2, 4, 8 (one block at n = 3)
         rng = np.random.default_rng(5000 + n)
-        for h in (phased_involution(rng, n), block_direct_sum(rng, n), block_direct_sum(rng, n, 8)):
+        involution = phased_involution(rng, n)
+        assert np.count_nonzero(np.diagonal(involution)) == 1 << n - 2
+        for h in (involution, block_direct_sum(rng, n), block_direct_sum(rng, n, 8)):
             res = diagonalize(h)
             assert res.steps
             assert res == diagonalize_row_major(h)
@@ -436,6 +457,71 @@ class TestRowScan:
         assert h[0, 2] == 0 and h[0, 1] != 0 and h[1, 2] != 0
         res = diagonalize(h)
         assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 1), (0, 2)]
+        assert res == diagonalize_row_major(h)
+
+
+def permuted_direct_sum(blocks, perm) -> np.ndarray:
+    """The direct sum of the square ``blocks``, its indices permuted by
+    ``perm``, which interleaves the blocks."""
+    dim = sum(len(b) for b in blocks)
+    h = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for b in blocks:
+        h[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return h[np.ix_(perm, perm)]
+
+
+class TestBlockWalk:
+    """On an input whose nonzero pattern has more than one block, row p's
+    candidates are its block-mates above p, each tested on the row as the
+    last rotation left it: the same pairs in the same order as the scalar
+    row-major walk, which tests every entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7), st.data())
+    def test_permuted_direct_sums(self, n, data):
+        dim = 1 << n
+        sizes: list[int] = []
+        while sum(sizes) < dim:
+            sizes.append(data.draw(st.integers(1, min(8, dim // 2, dim - sum(sizes)))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h = permuted_direct_sum([random_hermitian_unitary(rng, s) for s in sizes], rng.permutation(dim))
+        assert _blocks(h) is not None
+        assert diagonalize(h) == diagonalize_row_major(h)
+
+    def test_entries_at_zero_tol(self):
+        # two interleaved blocks: the odd indices are dense, and the even
+        # ones are joined only by entries exactly at zero_tol, which are
+        # skipped, and one ulp above it, which are rotated; each rotated
+        # pair's diagonal entries differ, and rows 4 and 6 are empty past
+        # their diagonal, so rows 0 and 2 keep their later entries
+        tiny = DEFAULT_TOLERANCES.zero_tol
+        above = np.nextafter(tiny, 1.0)
+        h = np.diag([1.0, 0, -1.0, 0, -1.0, 0, 1.0, 0]).astype(complex)
+        odd = [1, 3, 5, 7]
+        h[np.ix_(odd, odd)] = random_hermitian_unitary(np.random.default_rng(8), 4)
+        entries = {(0, 2): tiny, (0, 4): above, (0, 6): 1j * tiny, (2, 6): -1j * above}
+        for (p, q), value in entries.items():
+            h[p, q], h[q, p] = value, np.conj(value)
+        assert [row.tolist() for idx in _blocks(h) for row in idx] == [[0, 2, 4, 6], odd]
+        res = diagonalize(h)
+        first = [(s.p, s.q) for s in res.steps[: res.sweep_rotations[0]]]
+        assert [(p, q) for p, q in first if p % 2 == 0] == [(0, 4), (2, 6)]
+        assert res == diagonalize_row_major(h)
+
+    def test_rotation_fills_block_mate(self):
+        # H (x) X on indices 1, 4, 6 and 7 beside Y on 0 and 5 and two fixed
+        # points: entry (1, 6) is zero in the input until the rotation at
+        # (1, 4) mixes in row 4, whose entry (4, 6) is not; the walk then
+        # rotates (1, 6) in the same sweep
+        h = np.diag([0, 0, 1.0, -1.0, 0, 0, 0, 0]).astype(complex)
+        h[np.ix_([0, 5], [0, 5])] = PAULI_Y
+        block = [1, 4, 6, 7]
+        h[np.ix_(block, block)] = np.kron(HADAMARD, PAULI_X)
+        assert h[1, 6] == 0 and h[1, 4] != 0 and h[4, 6] != 0
+        res = diagonalize(h)
+        assert [(s.p, s.q) for s in res.steps[:3]] == [(0, 5), (1, 4), (1, 6)]
         assert res == diagonalize_row_major(h)
 
 
@@ -471,11 +557,13 @@ class TestReferenceWalk:
         assert all(step.alpha == 0.0 for step in res.steps)
         assert res == diagonalize_row_major(h)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
     def test_controlled_u(self, k):
-        # C^k U with U in {H, X, Y} and one complex 2x2 Hermitian unitary
+        # C^k U with U in {H, X, Y} and one complex 2x2 Hermitian unitary,
+        # on the last wire and on the first with a negative control: one
+        # 2x2 block among fixed points
         v = np.array([[0.6, 0.8j], [-0.8j, -0.6]])
         for u in (HADAMARD, PAULI_X, PAULI_Y, v):
-            h = np.eye(2 << k, dtype=complex)
-            h[-2:, -2:] = u
-            assert diagonalize(h) == diagonalize_row_major(h)
+            for h in (controlled_u(u, k), controlled_u(u, k, target=0, negative=(k,))):
+                assert _blocks(h) is not None
+                assert diagonalize(h) == diagonalize_row_major(h)

@@ -68,6 +68,12 @@ def dense_verdict(m) -> bool:
     return float(np.max(deviation)) <= DEFAULT_TOLERANCES.unitary_tol
 
 
+def dense_hermitian_verdict(m) -> bool:
+    """is_hermitian's verdict from the whole difference m - m^H."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.max(np.abs(m - m.conj().T))) <= DEFAULT_TOLERANCES.hermitian_tol
+
+
 def permuted(m, rng):
     p = rng.permutation(len(m))
     return m[np.ix_(p, p)]
@@ -122,6 +128,53 @@ class TestBlockUnitary:
             assert not dense_verdict(m)
             assert not is_unitary(m)
         assert is_unitary(h) and is_unitary(h[np.ix_(p, p)])
+
+
+class TestBlockHermitian:
+    """is_hermitian forms m - m^H one block of m's nonzero pattern at a
+    time; its verdict must be that of the whole difference."""
+
+    @pytest.mark.parametrize("name, m", UNITARY_CASES, ids=[name for name, _ in UNITARY_CASES])
+    def test_matches_dense_verdict(self, name, m):
+        expected = name not in ("shift", "two_unitaries")
+        assert dense_hermitian_verdict(m) == expected
+        assert is_hermitian(m) == expected
+
+    def test_deviation_in_each_block_size(self):
+        # blocks of sizes 1, 2, 4, 8 and 16, permuted: a deviation of 2e-10
+        # inside any one of them is rejected, 5e-11 accepted (on a 1 x 1
+        # block, an imaginary diagonal entry)
+        rng = np.random.default_rng(40)
+        h = np.zeros((32, 32), dtype=complex)
+        starts = {1: 0, 2: 2, 4: 4, 8: 8, 16: 16}
+        h[1, 1] = -1.0
+        for size, start in starts.items():
+            h[start : start + size, start : start + size] = random_hermitian_unitary(rng, size)
+        p = rng.permutation(32)
+        for size, start in starts.items():
+            for value, expected in ((2e-10, False), (5e-11, True)):
+                m = h.copy()
+                m[start + size - 1, start] += value * (1j if size == 1 else 1.0)
+                m = m[np.ix_(p, p)]
+                assert [idx.shape[1] for idx in _blocks(m)] == [1, 2, 4, 8, 16]
+                assert dense_hermitian_verdict(m) == expected
+                assert is_hermitian(m) == expected
+
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_unmirrored_entry_between_blocks(self, block):
+        # an entry whose mirror is zero joins two blocks in the pattern:
+        # 2e-10 there is beyond hermitian_tol, 5e-11 within it
+        rng = np.random.default_rng(20 + block)
+        h = block_direct_sum(rng, 5, block)
+        p = rng.permutation(32)
+        for value, expected in ((2e-10, False), (5e-11, True)):
+            m = h.copy()
+            m[0, block] = value
+            assert m[block, 0] == 0
+            assert len(_blocks(m)[0]) == 32 // block - 2
+            for case in (m, m[np.ix_(p, p)]):
+                assert dense_hermitian_verdict(case) == expected
+                assert is_hermitian(case) == expected
 
 
 def components_reference(pattern: np.ndarray) -> set[frozenset[int]]:
@@ -212,7 +265,65 @@ class TestBlockLabels:
         check_blocks(m)
 
 
+def off_norm_reference(a) -> float:
+    """off_norm as first written: a complex copy with its diagonal zeroed,
+    then moduli squared and summed."""
+    off = np.asarray(a, dtype=complex).copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+
+
+def off_norm_cases():
+    rng = np.random.default_rng(99)
+    ginibre = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    special = np.full((16, 16), -0.0 - 0.0j)
+    special[0, 3] = 5e-324
+    special[1, 2] = 1e-310 - 2e-320j
+    special[2, 1] = -0.0 + 1e-300j
+    special[3, 0] = 1e200
+    special[4, 4] = 1e200j  # on the diagonal: not counted
+    special[5, 6] = 3.0 - 4.0j
+    huge = ginibre[:16, :16].copy()
+    huge[7, 8] = -1e200 + 1e200j  # squares to inf
+    # a matrix whose squared moduli sum to other bits in column order
+    rng9 = np.random.default_rng(9)
+    gin9 = rng9.normal(size=(64, 64)) + 1j * rng9.normal(size=(64, 64))
+    return [
+        ("dense", random_hermitian_unitary(rng, 32)),
+        ("ginibre", ginibre),
+        ("column_major", np.asfortranarray(gin9)),
+        ("transposed", gin9.T),
+        ("strided", ginibre[::2, ::3][:20, :20]),
+        ("blocks", permuted(block_direct_sum(rng, 7), rng)),
+        ("involution", phased_involution(rng, 8)),
+        ("diagonal", np.diag(rng.normal(size=64) + 1j * rng.normal(size=64))),
+        ("special", special),
+        ("huge", huge),
+        ("one", np.array([[-0.0]])),
+    ]
+
+
+def same_off_norm_bits(m) -> bool:
+    # 1e200 squares to inf, with numpy's overflow warning on both sides
+    with np.errstate(over="ignore"):
+        new, old = off_norm(m), off_norm_reference(m)
+    return np.array([new]).view(np.uint64)[0] == np.array([old]).view(np.uint64)[0]
+
+
 class TestNorms:
+    @pytest.mark.parametrize("name, m", off_norm_cases(), ids=[name for name, _ in off_norm_cases()])
+    def test_off_norm_bits(self, name, m):
+        assert same_off_norm_bits(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+    def test_off_norm_bits_random(self, dim, seed, column_major):
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-12, 0.7, -3.0, 1e200])
+        m = rng.choice(values, size=(dim, dim)) + 1j * rng.choice(values, size=(dim, dim))
+        m[rng.random((dim, dim)) < 0.5] *= rng.normal()
+        assert same_off_norm_bits(np.asfortranarray(m) if column_major else m)
+
     def test_off_norm_diagonal(self):
         assert off_norm(np.diag([3.0, -2.0, 5.0])) == 0.0
 
