@@ -35,9 +35,17 @@ from .matrices import (
     is_unitary,
 )
 
-# The sweep cap, a safety bound only: the dense inputs measured up to n = 8
-# converged in at most 16 sweeps.
+# The sweep cap, a safety bound only: the dense inputs of BENCH_scale.json
+# converged in at most 5 sweeps up to n = 8 and 7 at n = 9 (at most 16 up to
+# n = 8 when every entry above zero_tol is rotated).
 _MAX_SWEEPS = 30
+# The pivot rule (:func:`diagonalize`): a pair whose diagonal entries have
+# the same sign is rotated only when its entry exceeds _SAME_SIGN_CUT, in
+# blocks of more than _PLAIN_ROWS rows, until a sweep leaves more than
+# _FALLBACK_SHARE of the off-diagonal norm it started with.
+_SAME_SIGN_CUT = 0.1
+_PLAIN_ROWS = 4
+_FALLBACK_SHARE = 0.9
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,15 +210,16 @@ def snap_signs(diag_entries) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _block_mates(m: np.ndarray) -> list[tuple[int, list[int]]] | None:
-    """(p, the block-mates of p above p) for each index p that has any,
-    by ascending p, the mates ascending; None when m's nonzero pattern is
-    one block (:func:`_blocks`)."""
+def _block_mates(m: np.ndarray) -> list[tuple[int, list[int], bool]] | None:
+    """(p, the block-mates of p above p, whether p's block has more than
+    _PLAIN_ROWS rows) for each index p that has any mates, by ascending p,
+    the mates ascending; None when m's nonzero pattern is one block
+    (:func:`_blocks`)."""
     blocks = _blocks(m)
     if blocks is None:
         return None
     mates = [
-        (block[i], block[i + 1 :])
+        (block[i], block[i + 1 :], len(block) > _PLAIN_ROWS)
         for idx in blocks
         if idx.shape[1] > 1
         for block in idx.tolist()
@@ -220,60 +229,96 @@ def _block_mates(m: np.ndarray) -> list[tuple[int, list[int]]] | None:
     return mates
 
 
-def _pivots(rows, mates, zero_tol: float):
-    """The pivots (p, q), p < q, of one sweep in row-major order: each
-    entry above zero_tol when the sweep reaches it, read from row p as the
-    last rotation left it, so the caller rotates each pivot before the
-    next is looked for.
+def _pivots(rows, mates, same: float, zero_tol: float):
+    """The pivots (p, q), p < q, of one sweep in row-major order, each
+    read from row p and the diagonal as the last rotation left them, so
+    the caller rotates each pivot before the next is looked for. An entry
+    is a pivot when it exceeds zero_tol and, if the real parts of its two
+    diagonal entries have the same sign (both negative or both not), also
+    ``same``. Blocks of at most _PLAIN_ROWS rows take zero_tol for both.
 
     With ``mates`` from :func:`_block_mates`, row p's candidates are its
     block-mates above p. A rotation at (p, q) mixes only rows and columns
     of one block, so every entry between two blocks stays an exact (+/-)
     zero and is never a pivot. For one block (``mates`` None) the entry
     just past q is tested directly, and when it fails, row p is scanned as
-    one array for its first entry above zero_tol past q: a dense row costs
-    one scalar test per rotation, and the zeros of a sparse row no
-    Python-level work."""
+    one array for its first pivot past q: a dense row costs one scalar
+    test per rotation, and the zeros of a sparse row no Python-level work.
+    The scan compares with cuts[0] when a_pp is not negative and cuts[1]
+    when it is, each holding, per column j, ``same`` where a_jj has that
+    sign and zero_tol where it has the other; a rotation at (p, q) moves
+    only the signs of p and q, so those two columns are set again after
+    it."""
     if mates is not None:
-        for p, later in mates:
+        for p, later, wide in mates:
             row = rows[p]
+            cut = same if wide else zero_tol
             for q in later:
-                if abs(row.item(q)) > zero_tol:
+                entry = abs(row.item(q))
+                if entry > zero_tol and (
+                    entry > cut or (row.item(p).real < 0) != (rows[q].item(q).real < 0)
+                ):
                     yield p, q
         return
     last = len(rows) - 1
+    if last < _PLAIN_ROWS:
+        same = zero_tol
+    signed = same > zero_tol
+    cuts = np.full((2, last + 1), zero_tol)
+    if signed:
+        negative = np.array([row.item(i).real < 0 for i, row in enumerate(rows)])
+        cuts[0, ~negative] = same
+        cuts[1, negative] = same
     for p in range(last):
         row, q = rows[p], p
         while q < last:
+            cut = cuts[int(row.item(p).real < 0)]
             k = 0
-            if abs(row.item(q + 1)) <= zero_tol:
-                above = np.abs(row[q + 1 :]) > zero_tol
+            if abs(row.item(q + 1)) <= cut.item(q + 1):
+                above = np.abs(row[q + 1 :]) > cut[q + 1 :]
                 k = int(above.argmax())  # the first True, or 0 if none
                 if not above[k]:
                     break
             q += 1 + k
             yield p, q
+            if signed:
+                for i in (p, q):
+                    side = int(rows[i].item(i).real < 0)
+                    cuts[side, i] = same
+                    cuts[1 - side, i] = zero_tol
 
 
 def diagonalize(h) -> JacobiResult:
     """Drive the off-diagonal norm of a Hermitian unitary to (near) zero.
 
-    Each sweep rotates, in row-major order, every pair (p, q) with p < q
-    whose entry exceeds zero_tol when the sweep reaches it
-    (:func:`_pivots`). The input's blocks are labelled once: when its
-    nonzero pattern has more than one, row p tests only its block-mates
-    above p, so a block-sparse input costs what its blocks cost; a dense
-    input keeps the one-array scan of each row past the last pivot. Either
-    rotates the same pairs in the same order as testing each entry in
-    turn. Sweeps repeat until off_norm <= zero_tol * dim. Cyclic Jacobi
-    can refill previously zeroed entries, hence the multi-sweep loop. The
-    +/-1 spectrum of these inputs is highly degenerate, so convergence is
-    close to linear rather than quadratic: random dense inputs take 2,
-    3-6, 4-9, 9-11 and 12-13 sweeps at n = 2..6, the early sweeps rotating
-    nearly all N(N-1)/2 pairs. The residuals are taken without validating
-    the work matrix again. The tolerances are the fixed DEFAULT_TOLERANCES,
-    and an input still off diagonal after ``_MAX_SWEEPS`` sweeps raises
-    NoConvergence.
+    Each sweep rotates, in row-major order, the pivots (p, q), p < q, that
+    :func:`_pivots` finds as the sweep reaches them. Every entry above
+    zero_tol between two indices whose diagonal entries have real parts of
+    opposite sign is a pivot. Between two of the same sign, an entry is a
+    pivot only above _SAME_SIGN_CUT (0.1): writing the work matrix as S + E,
+    with S the +/-1 signs its diagonal heads to, A^2 = I gives
+    (s_p + s_q) E_pq = -(E^2)_pq, so a same-sign entry is second order in E
+    and fades once the cross-sign ones are gone (Rutishauser's threshold
+    Jacobi, Numer. Math. 9, 1 (1966); on repeated eigenvalues, Hari,
+    Numer. Math. 60, 375 (1991)). After the first sweep that leaves more
+    than _FALLBACK_SHARE (90%) of the off-diagonal norm it started with,
+    every entry above zero_tol is a pivot for the rest of the run. Blocks
+    of at most _PLAIN_ROWS (4) rows, such as a dense n = 2 input or each
+    4x4 block of a block-sparse one, take that rule from the start: the
+    cut gains nothing there.
+
+    The input's blocks are labelled once: when its nonzero pattern has
+    more than one, row p tests only its block-mates above p, so a
+    block-sparse input costs what its blocks cost; a dense input keeps the
+    one-array scan of each row past the last pivot. Either rotates the
+    same pairs in the same order as testing each entry in turn. Sweeps
+    repeat until off_norm <= zero_tol * dim. Random dense inputs
+    (``bench/workloads.dense_balanced``, BENCH_scale.json) take 1, 2, 3-4,
+    4, 4, 4, 4-5, 5 and 6-7 sweeps at n = 1..9, against 10-16 at n = 5..8
+    when every entry above zero_tol is rotated. The residuals are taken
+    without validating the work matrix again. The tolerances are the fixed
+    DEFAULT_TOLERANCES, and an input still off diagonal after
+    ``_MAX_SWEEPS`` sweeps raises NoConvergence.
     """
     tol = DEFAULT_TOLERANCES
     zero_tol = tol.zero_tol
@@ -292,6 +337,7 @@ def diagonalize(h) -> JacobiResult:
     operands = _operands(dim)
     mates = _block_mates(m)
     threshold = zero_tol * dim
+    same = _SAME_SIGN_CUT
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
     residuals: list[float] = []
@@ -300,7 +346,7 @@ def diagonalize(h) -> JacobiResult:
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         executed = 0
-        for p, q in _pivots(rows, mates, zero_tol):
+        for p, q in _pivots(rows, mates, same, zero_tol):
             row = rows[p]
             theta, alpha = rotation_params(row.item(p).real, rows[q].item(q).real, row.item(q))
             step = _new_step(p, q, theta, alpha)
@@ -308,10 +354,12 @@ def diagonalize(h) -> JacobiResult:
             steps.append(step)
             executed += 1
         per_sweep.append(executed)
-        residual = _off_norm(work)
+        start, residual = residual, _off_norm(work)
         residuals.append(residual)
         if residual <= threshold:
             break
+        if residual > _FALLBACK_SHARE * start:
+            same = zero_tol
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
     signs = snap_signs(np.diagonal(work))

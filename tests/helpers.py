@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import replace
 from itertools import groupby
 
@@ -137,6 +138,25 @@ def controlled_u(u: np.ndarray, k: int, target: int | None = None, negative=()) 
 # --- dense references for the Jacobi rotations ------------------------------
 
 
+def components_reference(pattern: np.ndarray) -> set[frozenset[int]]:
+    """Connected components of i ~ j when pattern[i, j] or pattern[j, i],
+    by breadth-first search."""
+    adjacent = pattern | pattern.T
+    seen, parts = set(), set()
+    for start in range(len(pattern)):
+        if start in seen:
+            continue
+        part, queue = {start}, deque([start])
+        while queue:
+            for j in np.flatnonzero(adjacent[queue.popleft()]).tolist():
+                if j not in part:
+                    part.add(j)
+                    queue.append(j)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
 def ordering_row_major(dim: int) -> list[tuple[int, int]]:
     """All index pairs p < q in lexicographic order."""
     if dim < 2:
@@ -184,24 +204,52 @@ def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None
     m[q, q] = m[q, q].real
 
 
-def diagonalize_row_major(h) -> JacobiResult:
+# The pivot rule as documented in ``jacobi.diagonalize``, written out here
+# rather than imported, so the walk holds the library to the stated values.
+SAME_SIGN_CUT = 0.1
+PLAIN_ROWS = 4
+FALLBACK_SHARE = 0.9
+
+
+def diagonalize_row_major(h, same_sign_cut: float = SAME_SIGN_CUT) -> JacobiResult:
     """``jacobi.diagonalize`` as a scalar walk: every sweep tests each pair
-    of ``ordering_row_major`` in turn and rotates it when its entry exceeds
-    zero_tol, each by ``rotate_reference``. Inputs are not validated."""
+    of ``ordering_row_major`` in turn, reading work[p, q] and the real parts
+    of work[p, p] and work[q, q] at test time, and rotates it by
+    ``rotate_reference`` when its entry exceeds zero_tol and, for a
+    same-sign pair in a block of more than PLAIN_ROWS rows of the input's
+    nonzero pattern (``components_reference``), also ``same_sign_cut``.
+    After the first sweep that leaves more than FALLBACK_SHARE of the
+    off-diagonal norm it started with, every pair takes zero_tol. With
+    ``same_sign_cut`` 0.0 this is the rule that rotates every entry above
+    zero_tol. Inputs are not validated."""
     tol = DEFAULT_TOLERANCES
     work = as_matrix(h).copy()
     dim = work.shape[0]
+    block_rows = [0] * dim
+    for part in components_reference(work != 0):
+        for i in part:
+            block_rows[i] = len(part)
     threshold = tol.zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
     residuals: list[float] = []
     residual = off_norm(work)
+    fallen_back = False
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         executed = 0
         for p, q in ordering_row_major(dim):
-            if abs(work[p, q]) <= tol.zero_tol:
+            entry = abs(work[p, q])
+            if entry <= tol.zero_tol:
+                continue
+            same_sign = (work[p, p].real < 0) == (work[q, q].real < 0)
+            if (
+                same_sign
+                and not fallen_back
+                and block_rows[p] > PLAIN_ROWS
+                and entry <= same_sign_cut
+            ):
                 continue
             theta, alpha = rotation_params(
                 work[p, p].real, work[q, q].real, complex(work[p, q])
@@ -211,10 +259,11 @@ def diagonalize_row_major(h) -> JacobiResult:
             steps.append(step)
             executed += 1
         per_sweep.append(executed)
-        residual = off_norm(work)
+        start, residual = residual, off_norm(work)
         residuals.append(residual)
         if residual <= threshold:
             break
+        fallen_back = fallen_back or residual > FALLBACK_SHARE * start
     if residual > threshold:
         raise NoConvergence(residual, sweeps)
     signs = snap_signs(np.diagonal(work))

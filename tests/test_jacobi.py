@@ -23,12 +23,14 @@ from helpers import (
     ordering_row_major,
     phased_involution,
     random_hermitian_unitary,
+    random_unitary,
     rotate_inplace,
     rotate_reference,
     step_factors,
     two_level_matrix,
 )
 from hermsynth import jacobi
+from hermsynth.circuit import serialize
 from hermsynth.errors import (
     BadDimension,
     DiagonalNotPM1,
@@ -54,6 +56,7 @@ from hermsynth.matrices import (
     max_abs_diff,
     off_norm,
 )
+from hermsynth.twolevel import synthesize
 
 RNG = np.random.default_rng(2718)
 
@@ -432,21 +435,36 @@ class TestRowScan:
             assert res == diagonalize_row_major(h)
 
     def test_entries_at_zero_tol(self):
-        # row 0 holds entries exactly at zero_tol, which are skipped, and one
-        # ulp above it, which are rotated (row 2 is empty past column 2 and
-        # the pivots' diagonal entries differ, so row 0 keeps its values);
-        # a dense block on rows 4..7 keeps the later scans busy
+        # row 0 holds cross-sign entries exactly at zero_tol, which are
+        # skipped, and one ulp above it, which are rotated (row 2 is empty
+        # past column 2 and the pivots' diagonal entries differ, so row 0
+        # keeps its values); a dense block on rows 4..7, whose diagonal is
+        # (-0.08, 0.50, 0.36, -0.79), keeps the later scans busy
         tiny = DEFAULT_TOLERANCES.zero_tol
         above = np.nextafter(tiny, 1.0)
         h = np.diag([1.0, -1.0, -1.0, 1.0, 0, 0, 0, 0]).astype(complex)
         h[4:, 4:] = random_hermitian_unitary(np.random.default_rng(6), 4)
-        entries = {(0, 1): tiny, (0, 2): above, (0, 3): 1j * tiny, (0, 5): 1j * above,
+        entries = {(0, 1): tiny, (0, 2): above, (0, 3): 1j * tiny, (0, 4): 1j * above,
                    (1, 3): -tiny, (1, 6): tiny}
         for (p, q), value in entries.items():
             h[p, q], h[q, p] = value, np.conj(value)
         res = diagonalize(h)
         # row 0 is the first row scanned: q = 1 and 3 are skipped
-        assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 2), (0, 5)]
+        assert [(s.p, s.q) for s in res.steps[:2]] == [(0, 2), (0, 4)]
+        assert res == diagonalize_row_major(h)
+
+    def test_entries_at_same_sign_cut(self):
+        # I - 2 v v^T with v = (0.5, -0.1, -0.1, 0.38...): a_00 = 0.5 and
+        # a_11 = a_22 = 0.98, so (0, 1) and (0, 2) are same-sign pairs of
+        # one 8-row block; (0, 1) is exactly the cut, which is skipped, and
+        # (0, 2) one ulp above it, which is the first rotation
+        cut = jacobi._SAME_SIGN_CUT
+        v = np.array([0.5, -0.1, -0.1] + [math.sqrt(0.73 / 5)] * 5)
+        h = (np.eye(8) - 2.0 * np.outer(v, v)).astype(complex)
+        assert h[0, 1] == cut
+        h[0, 2] = h[2, 0] = np.nextafter(cut, 1.0)
+        res = diagonalize(h)
+        assert (res.steps[0].p, res.steps[0].q) == (0, 2)
         assert res == diagonalize_row_major(h)
 
     def test_rotation_fills_later_entry_of_row(self):
@@ -525,6 +543,31 @@ class TestBlockWalk:
         assert res == diagonalize_row_major(h)
 
 
+def reflection(n: int, signs=()) -> np.ndarray:
+    """I - 2 v v^T with v uniform, the listed entries of v negated."""
+    v = np.full(1 << n, 1.0 / math.sqrt(1 << n))
+    v[list(signs)] *= -1.0
+    return (np.eye(1 << n) - 2.0 * np.outer(v, v)).astype(complex)
+
+
+def unbalanced(rng: np.random.Generator, n: int) -> np.ndarray:
+    """U diag(+/-1) U^dag with a Haar U and the -1 count uniform in 1..N-1."""
+    dim = 1 << n
+    signs = np.ones(dim)
+    signs[: rng.integers(1, dim)] = -1.0
+    rng.shuffle(signs)
+    u = random_unitary(rng, dim)
+    h = (u * signs) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def real_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """O diag(+/-1) O^T for a random orthogonal O."""
+    o, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
+    h = (o * rng.choice([-1.0, 1.0], size=1 << n)) @ o.T
+    return ((h + h.T) / 2.0).astype(complex)
+
+
 class TestReferenceWalk:
     """``diagonalize`` against ``diagonalize_row_major``, the scalar walk
     over ``rotate_reference``, field for field, on the benchmark's input
@@ -549,10 +592,7 @@ class TestReferenceWalk:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_real_symmetric(self, n):
         # O diag(+/-1) O^T for a random orthogonal O: real pivots, alpha 0.0
-        rng = np.random.default_rng(6200 + n)
-        o, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
-        h = (o * rng.choice([-1.0, 1.0], size=1 << n)) @ o.T
-        h = ((h + h.T) / 2.0).astype(complex)
+        h = real_symmetric(np.random.default_rng(6200 + n), n)
         res = diagonalize(h)
         assert all(step.alpha == 0.0 for step in res.steps)
         assert res == diagonalize_row_major(h)
@@ -567,3 +607,72 @@ class TestReferenceWalk:
             for h in (controlled_u(u, k), controlled_u(u, k, target=0, negative=(k,))):
                 assert _blocks(h) is not None
                 assert diagonalize(h) == diagonalize_row_major(h)
+
+
+class TestSameSignCut:
+    """The pivot rule: a same-sign pair in a block of more than four rows
+    is rotated only above ``jacobi._SAME_SIGN_CUT``, until a sweep leaves
+    more than 90% of the off-diagonal norm it started with."""
+
+    workloads = load_bench_workloads()
+
+    def test_zero_cut_is_every_pivot_rule(self, monkeypatch):
+        # with the cut at 0.0, every pivot above zero_tol is rotated: the
+        # scalar walk with its same-sign cut at 0, step for step
+        rng = np.random.default_rng(7100)
+        inputs = [self.workloads.dense_balanced(rng, 0, n) for n in range(1, 7)]
+        inputs += [unbalanced(rng, 5), real_symmetric(rng, 5), reflection(5)]
+        inputs += [block_direct_sum(rng, 6, 8), self.workloads.sparse_alternating(rng, 1, 6)]
+        monkeypatch.setattr(jacobi, "_SAME_SIGN_CUT", 0.0)
+        for h in inputs:
+            assert diagonalize(h) == diagonalize_row_major(h, same_sign_cut=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_reflection(self, n, monkeypatch):
+        # every pair is same-sign, with entries 2/N: above the cut at n <= 4,
+        # where one sweep rotates all N - 1 pivots of row 0; from n = 5 on
+        # the first sweep rotates nothing and the walk falls back. Either
+        # way the steps are those of the every-pivot rule
+        h = reflection(n)
+        res = diagonalize(h)
+        dim = 1 << n
+        assert res.sweep_rotations == ((dim - 1,) if n <= 4 else (0, dim - 1))
+        assert res == diagonalize_row_major(h)
+        circuit, report = synthesize(h)
+        assert report.verify_error <= 1e-11
+        if n == 5:
+            assert len(circuit.gates) == 166
+        monkeypatch.setattr(jacobi, "_SAME_SIGN_CUT", 0.0)
+        assert diagonalize(h).steps == res.steps
+        assert serialize(synthesize(h)[0]) == serialize(circuit)
+
+    def test_degenerate_same_sign_pair(self):
+        # an 8-row reflection with a_00 == a_11 == 0.75 and a_01 = 0.25 above
+        # the cut: the first rotation has theta = -pi/2 exactly, within the
+        # step's bound, and it zeroes the pivot
+        h = reflection(3, signs=[1])
+        assert h[0, 0] == h[1, 1] and h[0, 1].real > jacobi._SAME_SIGN_CUT
+        res = diagonalize(h)
+        assert res.steps[0] == RotationStep(0, 1, -HALF_PI, 0.0)
+        assert res == diagonalize_row_major(h)
+        assert synthesize(h)[1].verify_error <= 1e-11
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("family", ["balanced", "unbalanced", "real_symmetric"])
+    def test_fewer_sweeps_and_rotations(self, family, n, monkeypatch):
+        # held-out seeds: at most 6 sweeps, and at least 3x fewer rotations
+        # than the every-pivot rule (3.2-5.0x on these inputs), except at
+        # n = 5 off the balanced family, where that rule already converges
+        # fast on some inputs (2.0x and 3.2x here; 1.8-3.8x on seeds 100-103)
+        rng = np.random.default_rng(7200 + n)
+        make = {"balanced": lambda: self.workloads.dense_balanced(rng, 0, n),
+                "unbalanced": lambda: unbalanced(rng, n),
+                "real_symmetric": lambda: real_symmetric(rng, n)}[family]
+        h = make()
+        _, report = synthesize(h)
+        assert report.sweeps <= 6
+        assert report.verify_error <= 1e-11
+        monkeypatch.setattr(jacobi, "_SAME_SIGN_CUT", 0.0)
+        every = len(diagonalize(h).steps)
+        gain = 3.0 if n > 5 or family == "balanced" else 1.5
+        assert every >= gain * report.rotations_executed

@@ -1,7 +1,5 @@
 import math
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +10,7 @@ from helpers import (
     PAULI_Y,
     PAULI_Z,
     block_direct_sum,
+    components_reference,
     controlled_u,
     phased_involution,
     random_hermitian_unitary,
@@ -175,25 +174,6 @@ class TestBlockHermitian:
             for case in (m, m[np.ix_(p, p)]):
                 assert dense_hermitian_verdict(case) == expected
                 assert is_hermitian(case) == expected
-
-
-def components_reference(pattern: np.ndarray) -> set[frozenset[int]]:
-    """Connected components of i ~ j when pattern[i, j] or pattern[j, i],
-    by breadth-first search."""
-    adjacent = pattern | pattern.T
-    seen, parts = set(), set()
-    for start in range(len(pattern)):
-        if start in seen:
-            continue
-        part, queue = {start}, deque([start])
-        while queue:
-            for j in np.flatnonzero(adjacent[queue.popleft()]).tolist():
-                if j not in part:
-                    part.add(j)
-                    queue.append(j)
-        seen |= part
-        parts.add(frozenset(part))
-    return parts
 
 
 def check_blocks(m: np.ndarray) -> None:
