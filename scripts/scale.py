@@ -2,10 +2,11 @@
 
 Usage (from the repository root):
 
-    python3 scripts/scale.py [--n 1 9] [--seeds 0 1 2] [--out BENCH_scale.json]
+    python3 scripts/scale.py [--out BENCH_scale.json]
 
-One row per (n, seed): input 0 of ``bench/workloads.dense_balanced`` drawn
-from ``numpy.random.default_rng(seed)``, synthesized and verified by one
+One row per (n, seed), for n in ``N_RANGE`` and seed in ``SEEDS``: input 0
+of ``bench/workloads.dense_balanced`` drawn from
+``numpy.random.default_rng(seed)``, synthesized and verified by one
 ``hermsynth.twolevel.synthesize`` call in a fresh Python process. The row
 holds that call's wall time (cold: the route memo starts empty) and the
 process's peak RSS, next to the ``SynthesisReport`` fields it reads:
@@ -26,6 +27,9 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+N_RANGE = range(1, 10)
+SEEDS = (0, 1, 2)
 
 
 def row(n: int, seed: int) -> dict:
@@ -65,8 +69,6 @@ def cpu_model() -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, nargs=2, default=(1, 9), metavar=("LOW", "HIGH"))
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     parser.add_argument("--row", type=int, nargs=2, metavar=("N", "SEED"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -77,8 +79,8 @@ def main(argv=None) -> int:
     from run import environment
 
     rows = []
-    for n in range(args.n[0], args.n[1] + 1):
-        for seed in args.seeds:
+    for n in N_RANGE:
+        for seed in SEEDS:
             proc = subprocess.run(
                 [sys.executable, __file__, "--row", str(n), str(seed)],
                 capture_output=True, text=True, check=True,
