@@ -27,7 +27,7 @@ from .circuit import (
 from .diagonal import synthesize_sign_diagonal
 from .errors import IndexOutOfRange, VerificationFailed
 from .jacobi import JacobiResult, RotationStep, diagonalize
-from .matrices import DEFAULT_TOLERANCES, _blocks, as_matrix, max_abs_diff
+from .matrices import DEFAULT_TOLERANCES, _blocks, max_abs_diff
 # ``optimize`` is the one cancel pass build_circuit runs; bench/tracing.py
 # times it under this name.
 from .optimize import cancel_adjacent_inverses as optimize, strip_conjugate_controls
@@ -198,8 +198,8 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     of M's nonzero pattern at a time (:func:`hermsynth.matrices._blocks`),
     batched by block size, with exact zeros between blocks: there every
     term of the product is an exact zero. An M of one block, such as the
-    half of any dense synthesized circuit, takes the whole product, and
-    any other centre is simulated and multiplied whole."""
+    half of any dense synthesized circuit, is a batch of one. Any other
+    centre is simulated and multiplied whole."""
     gates, n = circuit.gates, circuit.n_qubits
     if not 0 <= k <= len(gates) // 2:
         raise ValueError(f"need 0 <= k <= {len(gates) // 2}, got {k}")
@@ -209,48 +209,24 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     if not all(g.kind.diagonal for g in centre):
         return (m @ simulate(Circuit(n, centre, circuit.global_phase))) @ m.conj().T
     d = _diagonal(centre, n, circuit.global_phase)
-    blocks = _blocks(m)
-    if blocks is None:
-        return (m * d) @ m.conj().T
     out = np.zeros_like(m)
-    for idx in blocks:
+    for idx in _blocks(m) or (np.arange(len(m))[None],):
         rows, cols = idx[:, :, None], idx[:, None, :]
         b = m[rows, cols]
         out[rows, cols] = (b * d[cols]) @ b.conj().transpose(0, 2, 1)
     return out
 
 
-# The mirror route simulates len(gates) - k gates instead of len(gates),
-# and pays for it with one N x N product (two when the centre is not
-# diagonal). Measured on synthesized circuits cut to shorter mirrored
-# windows (2-core x86_64 host), it broke even at about 45, 110, 540,
-# 3000-5000 and 9000-15000 gates at n = 5..9, that is at N^3 / 2^9.5,
-# 2^11, 2^12, 2^12 and 2^13.4. The route is taken when
-# len(gates) << _MIRROR_SHIFT reaches the product's cost: the sum of the
-# cubed block sizes of h's nonzero pattern, N^3 for one block.
-_MIRROR_SHIFT = 12
-
-
 def circuit_error(circuit: Circuit, h) -> float:
     """Max entrywise deviation of the circuit's matrix from ``h``.
 
-    A circuit whose leading gates mirror its trailing ones
-    (:func:`mirror_depth`), such as W^dagger D W, is computed by
-    :func:`mirror_matrix` when len(gates) << _MIRROR_SHIFT reaches the
-    sum of the cubed block sizes of h's nonzero pattern: a diagonal
-    centre's product is formed one block of M at a time, and the blocks
-    of M are those of h when the circuit is right. Any other circuit is
-    simulated whole. The pattern of h chooses the route only: a wrong
-    circuit whose M reaches across h's blocks forms its own larger
-    blocks, so its error is exact either way.
+    A circuit whose first k = :func:`mirror_depth` gates mirror its last
+    k, with k > 0, such as W^dagger D W, is computed by
+    :func:`mirror_matrix`; any other circuit is simulated whole. The
+    circuit alone chooses the route, and h is read once, by
+    :func:`max_abs_diff`.
     """
-    gates = circuit.gates
-    blocks = _blocks(as_matrix(h))
-    if blocks is None:
-        cost = 1 << 3 * circuit.n_qubits
-    else:
-        cost = sum(idx.size * idx.shape[1] ** 2 for idx in blocks)
-    k = mirror_depth(gates) if len(gates) << _MIRROR_SHIFT >= cost else 0
+    k = mirror_depth(circuit.gates)
     return max_abs_diff(mirror_matrix(circuit, k) if k else simulate(circuit), h)
 
 

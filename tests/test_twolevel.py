@@ -599,11 +599,10 @@ class TestMirrorRoute:
         assert np.array_equal(mirror_matrix(circuit, 0), simulate(circuit))
         assert mirror_matrix(circuit, 1).shape == (4, 4)
 
-    def test_route_by_size(self, monkeypatch):
-        # len(gates) << 12 >= N^3 takes the route: at n = 2 from one gate
-        # on, at n = 8 from 4096 gates. Below that, so does a circuit of at
-        # least sum(s^3) / 2^12 gates, s the block sizes of h's nonzero
-        # pattern. A diagonal centre is a vector, not a simulate call.
+    def test_every_mirrored_circuit_takes_the_route(self, monkeypatch):
+        # the route depends on the circuit alone: any k = mirror_depth > 0
+        # simulates the last k gates, whatever the size and pattern of h. A
+        # diagonal centre is a vector, not a simulate call.
         simulated = []
         real_simulate = twolevel.simulate
         monkeypatch.setattr(
@@ -616,22 +615,21 @@ class TestMirrorRoute:
         assert simulated == [1]
         ry8 = Gate(GateKind.RY, 7, tuple((q, True) for q in range(7)), 0.3)
         large = Circuit(8, invert_gates((ry8,)) + (Gate(GateKind.Z, 0),) + (ry8,))
-        # 3 << 12 = 12,288 against the sum of cubed block sizes: a dense h
-        # (N^3), a block of 23 (12,167 + 233) and of 22 (10,648 + 234)
+        # a dense h, a block of 23, a block of 22 and the identity: h's size
+        # and pattern no longer change the route
         block23, block22 = np.eye(256), np.eye(256)
         block23[:23, :23] = block22[:22, :22] = 1.0
-        for h, route in ((np.full((256, 256), 1 / 16), [3]), (block23, [3]),
-                         (block22, [1]), (np.eye(256), [1])):
+        for h in (np.full((256, 256), 1 / 16), block23, block22, np.eye(256)):
             simulated.clear()
             assert circuit_error(large, h) > 0.1
-            assert simulated == route
+            assert simulated == [1]
             assert abs(circuit_error(large, h) - max_abs_diff(real_simulate(large), h)) <= 1e-15
 
     def test_synthesized_circuits_take_the_route(self, monkeypatch):
-        # the dense and C^3 Y circuits by the N^3 rule, the two n = 8
-        # sparse ones by the block rule. Their centres are diagonal, so
-        # only M is simulated; in the CNOT library the centre of C^3 Y is
-        # an X and is simulated too.
+        # the dense, C^3 Y, two n = 8 sparse and an n = 8 reflection
+        # I - 2vv^T (one block of 256) circuits. Their centres are
+        # diagonal, so only M is simulated; in the CNOT library the centre
+        # of C^3 Y is an X and is simulated too.
         simulated = []
         real_simulate = twolevel.simulate
         monkeypatch.setattr(
@@ -640,6 +638,9 @@ class TestMirrorRoute:
         rng = np.random.default_rng(8)
         inputs = (random_hermitian_unitary(RNG, 32), controlled_u(PAULI_Y, 3),
                   phased_involution(rng, 8), block_direct_sum(rng, 8))
+        v = rng.uniform(size=256)
+        v /= np.linalg.norm(v)
+        inputs += (np.eye(256) - 2 * np.outer(v, v),)
         for h in inputs:
             simulated.clear()
             circuit, report = synthesize(h)
