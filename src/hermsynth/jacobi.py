@@ -210,17 +210,14 @@ def snap_signs(diag_entries) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _block_mates(m: np.ndarray) -> list[tuple[int, list[int], bool]] | None:
+def _block_mates(m: np.ndarray) -> list[tuple[int, list[int], bool]]:
     """(p, the block-mates of p above p, whether p's block has more than
     _PLAIN_ROWS rows) for each index p that has any mates, by ascending p,
-    the mates ascending; None when m's nonzero pattern is one block
-    (:func:`_blocks`)."""
-    blocks = _blocks(m)
-    if blocks is None:
-        return None
+    the mates ascending. The blocks are those of m's nonzero pattern
+    (:func:`_blocks`); one block makes every index above p a mate."""
     mates = [
         (block[i], block[i + 1 :], len(block) > _PLAIN_ROWS)
-        for idx in blocks
+        for idx in _blocks(m) or (np.arange(len(m))[None],)
         if idx.shape[1] > 1
         for block in idx.tolist()
         for i in range(len(block) - 1)
@@ -237,55 +234,19 @@ def _pivots(rows, mates, same: float, zero_tol: float):
     diagonal entries have the same sign (both negative or both not), also
     ``same``. Blocks of at most _PLAIN_ROWS rows take zero_tol for both.
 
-    With ``mates`` from :func:`_block_mates`, row p's candidates are its
-    block-mates above p. A rotation at (p, q) mixes only rows and columns
-    of one block, so every entry between two blocks stays an exact (+/-)
-    zero and is never a pivot. For one block (``mates`` None) the entry
-    just past q is tested directly, and when it fails, row p is scanned as
-    one array for its first pivot past q: a dense row costs one scalar
-    test per rotation, and the zeros of a sparse row no Python-level work.
-    The scan compares with cuts[0] when a_pp is not negative and cuts[1]
-    when it is, each holding, per column j, ``same`` where a_jj has that
-    sign and zero_tol where it has the other; a rotation at (p, q) moves
-    only the signs of p and q, so those two columns are set again after
-    it."""
-    if mates is not None:
-        for p, later, wide in mates:
-            row = rows[p]
-            cut = same if wide else zero_tol
-            for q in later:
-                entry = abs(row.item(q))
-                if entry > zero_tol and (
-                    entry > cut or (row.item(p).real < 0) != (rows[q].item(q).real < 0)
-                ):
-                    yield p, q
-        return
-    last = len(rows) - 1
-    if last < _PLAIN_ROWS:
-        same = zero_tol
-    signed = same > zero_tol
-    cuts = np.full((2, last + 1), zero_tol)
-    if signed:
-        negative = np.array([row.item(i).real < 0 for i, row in enumerate(rows)])
-        cuts[0, ~negative] = same
-        cuts[1, negative] = same
-    for p in range(last):
-        row, q = rows[p], p
-        while q < last:
-            cut = cuts[int(row.item(p).real < 0)]
-            k = 0
-            if abs(row.item(q + 1)) <= cut.item(q + 1):
-                above = np.abs(row[q + 1 :]) > cut[q + 1 :]
-                k = int(above.argmax())  # the first True, or 0 if none
-                if not above[k]:
-                    break
-            q += 1 + k
-            yield p, q
-            if signed:
-                for i in (p, q):
-                    side = int(rows[i].item(i).real < 0)
-                    cuts[side, i] = same
-                    cuts[1 - side, i] = zero_tol
+    Row p's candidates are its block-mates above p (``mates``, from
+    :func:`_block_mates`), each tested in turn. A rotation at (p, q) mixes
+    only rows and columns of one block, so every entry between two blocks
+    stays an exact (+/-) zero and is never a pivot."""
+    for p, later, wide in mates:
+        row = rows[p]
+        cut = same if wide else zero_tol
+        for q in later:
+            entry = abs(row.item(q))
+            if entry > zero_tol and (
+                entry > cut or (row.item(p).real < 0) != (rows[q].item(q).real < 0)
+            ):
+                yield p, q
 
 
 def diagonalize(h) -> JacobiResult:
@@ -307,11 +268,10 @@ def diagonalize(h) -> JacobiResult:
     4x4 block of a block-sparse one, take that rule from the start: the
     cut gains nothing there.
 
-    The input's blocks are labelled once: when its nonzero pattern has
-    more than one, row p tests only its block-mates above p, so a
-    block-sparse input costs what its blocks cost; a dense input keeps the
-    one-array scan of each row past the last pivot. Either rotates the
-    same pairs in the same order as testing each entry in turn. Sweeps
+    The input's blocks are labelled once, and row p tests its block-mates
+    above p in turn (every index above p when there is one block), so a
+    block-sparse input costs what its blocks cost. The pairs rotated, and
+    their order, are those of testing every entry of the row. Sweeps
     repeat until off_norm <= zero_tol * dim. Random dense inputs
     (``bench/workloads.dense_balanced``, BENCH_scale.json) take 1, 2, 3-4,
     4, 4, 4, 4-5, 5 and 6-7 sweeps at n = 1..9, against 10-16 at n = 5..8

@@ -409,11 +409,26 @@ class TestDiagonalize:
         assert all(s in (-1, 1) for s in res.signs)
 
 
+def banded_chain(n: int) -> np.ndarray:
+    """G P G^T: P swaps each pair (2k, 2k+1), and G rotates each pair
+    (2k+1, 2k+2) by 0.3. The pairs link every index into one block whose
+    rows hold at most four nonzeros."""
+    dim = 1 << n
+    p = np.zeros((dim, dim))
+    p[np.arange(dim), np.arange(dim) ^ 1] = 1.0
+    g = np.eye(dim)
+    c, s = math.cos(0.3), math.sin(0.3)
+    for k in range(1, dim - 1, 2):
+        g[k, k] = g[k + 1, k + 1] = c
+        g[k, k + 1], g[k + 1, k] = -s, s
+    return (g @ p @ g.T).astype(complex)
+
+
 class TestRowScan:
-    """``diagonalize`` finds each row's next pivot with one array scan on an
-    input of one block, and among the row's block-mates on any other; it
-    must rotate exactly the pairs the scalar row-major walk rotates. Result
-    equality compares every field, each step's angles exactly."""
+    """``diagonalize`` walks each row's block-mates above p (every later
+    index on an input of one block), testing each in turn; it must rotate
+    exactly the pairs the scalar row-major walk rotates. Result equality
+    compares every field, each step's angles exactly."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_random_dense(self, n):
@@ -425,11 +440,18 @@ class TestRowScan:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_sparse(self, n):
         # phased involutions (transpositions and fixed points) and direct
-        # sums: blocks of sizes 1 and 2, 4, 8 (one block at n = 3)
+        # sums: blocks of sizes 1 and 2, 4, 8 (one block at n = 3); at
+        # n = 4..6 also a banded chain, one block of long, mostly zero rows
         rng = np.random.default_rng(5000 + n)
         involution = phased_involution(rng, n)
         assert np.count_nonzero(np.diagonal(involution)) == 1 << n - 2
-        for h in (involution, block_direct_sum(rng, n), block_direct_sum(rng, n, 8)):
+        inputs = [involution, block_direct_sum(rng, n), block_direct_sum(rng, n, 8)]
+        if 4 <= n <= 6:
+            chain = banded_chain(n)
+            assert _blocks(chain) is None
+            assert np.count_nonzero(chain, axis=1).max() <= 4
+            inputs.append(chain)
+        for h in inputs:
             res = diagonalize(h)
             assert res.steps
             assert res == diagonalize_row_major(h)
