@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -189,6 +189,13 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def _mirror_depth(self) -> int:
+        """:func:`mirror_depth` of the gates, walked once per circuit: the
+        gates cannot change, and :func:`counts` and the verify route
+        (``twolevel.circuit_error``) both read it."""
+        return mirror_depth(self.gates)
+
 
 def _check_qubits(n: int) -> None:
     if n < 1:
@@ -248,7 +255,10 @@ def simulate(circuit: Circuit) -> np.ndarray:
     writes them in place: the four products go to the temporaries, and
     their sums over the old rows. A diagonal gate scales its row in place,
     holder first. A PHASE right after a 2x2 update on the same site scales
-    that update's row j as it is stored. A gate with fewer controls picks
+    that update's row j as it is stored: every complex rotation core that
+    ``twolevel.emit_two_level`` writes is an RY and then a PHASE on one
+    site, in either orientation of its pair, so each one takes this fold
+    where no pass has merged it away. A gate with fewer controls picks
     its rows by index arrays, into copies, and stores them back: a diagonal
     one multiplies a named row, since ``*=`` and numpy's reuse of an
     unnamed fancy-indexed temporary each round differently."""
@@ -381,14 +391,15 @@ def counts(circuit: Circuit) -> dict[str, int]:
     with one control is CZ or CNOT, with more it is MCZ or MCX; a PHASE
     with controls counts as MCPHASE, and a controlled H as MCH, whatever
     its number of controls.
-    The last k = :func:`mirror_depth` gates have the kinds and control
+    The last k = :func:`mirror_depth` gates (read once per circuit, from
+    ``Circuit._mirror_depth``) have the kinds and control
     counts of the first k, so the first k are counted twice and the centre
     between them once, by (kind, number of controls) in C-level passes.
     Each pair is then added to its class; a class keeps the place of its
     first gate in the dict's order, as in a walk over every gate.
     """
     gates = circuit.gates
-    k = mirror_depth(gates)
+    k = circuit._mirror_depth
     head, centre = gates[:k], gates[k : len(gates) - k]
     pairs = Counter(zip(map(_kind, head), map(len, map(_controls, head))))
     for pair in pairs:

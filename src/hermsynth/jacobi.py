@@ -1,9 +1,14 @@
 """Complex Jacobi diagonalization of Hermitian unitaries.
 
 Each elimination conjugates the working matrix by a two-level complex
-rotation Q' = R(-alpha) G(theta), where G is a real Givens rotation in the
-half-angle convention and R is a phase shift. For a Hermitian unitary input
-the process terminates on a diagonal of +/-1 entries.
+rotation Q' = diag(u, v) G(theta) at (p, q), where G is a real Givens
+rotation in the half-angle convention and diag(u, v) puts the phase
+e^(-i alpha) on one of the two states: (u, v) = (1, e^(-i alpha)) when q
+holds the pivot bit, the lowest set bit of p ^ q, and (e^(i alpha), 1),
+which is e^(i alpha) times the same 2x2 block, when p holds it. The phase
+then always sits on the pivot-1 state, where the controlled PHASE gate of
+:func:`hermsynth.twolevel.emit_two_level` acts. For a Hermitian unitary
+input the process terminates on a diagonal of +/-1 entries.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ class RotationStep:
     """One elimination: zero entry (p, q) with angles (theta, alpha).
 
     ``alpha`` is 0.0 exactly when the pivot entry was real: a real pivot needs
-    no phase factor and uses the signed real angle formula.
+    no phase factor and uses the signed real angle formula. Otherwise its
+    phase factor sits on the one of p and q that holds the pivot bit, the
+    lowest set bit of p ^ q (:func:`_rotate`).
     """
 
     p: int
@@ -132,21 +139,29 @@ def rotation_params(app: float, aqq: float, apq: complex) -> tuple[float, float]
 
 
 def _operands(dim: int) -> tuple[np.ndarray, ...]:
-    """The operands of one rotation of a dim x dim matrix: six 0-d complex
-    coefficients (c, s, e s, e c, conj(e) s and conj(e) c) and four complex
+    """The operands of one rotation of a dim x dim matrix: eight 0-d complex
+    coefficients (u c, v s, u s, v c and their conjugates) and four complex
     temporaries of length dim. Each caller allocates its own, so concurrent
     calls share no state."""
-    holders = tuple(np.zeros((), dtype=complex) for _ in range(6))
+    holders = tuple(np.zeros((), dtype=complex) for _ in range(8))
     return holders + tuple(np.empty(dim, dtype=complex) for _ in range(4))
 
 
 def _rotate(
     rows, cols, p: int, q: int, theta: float, alpha: float, zero_tol: float, operands
 ) -> None:
-    """Conjugate a matrix by the two-level Q' at (p, q), touching only those
-    rows and columns. ``rows`` and ``cols`` hold views of the matrix's rows
-    and columns (``list(m)``, ``list(m.T)``), and ``operands`` comes from
-    ``_operands``.
+    """Conjugate a matrix by the two-level Q' = diag(u, v) G(theta) at
+    (p, q), touching only those rows and columns. ``rows`` and ``cols``
+    hold views of the matrix's rows and columns (``list(m)``,
+    ``list(m.T)``), and ``operands`` comes from ``_operands``.
+
+    The phase e^(-i alpha) goes on q, (u, v) = (1, e^(-i alpha)), when q
+    holds the lowest set bit of p ^ q, and otherwise on p as
+    (u, v) = (e^(i alpha), 1), e^(i alpha) times the first form. The two
+    differ on the 2x2 block by a scalar only, so the block, the diagonal
+    and every modulus come out the same; the phase lands on the pivot-1
+    state, the row the emitted PHASE gate scales. A real step has
+    u = v = 1.
 
     The coefficients are written into the 0-d holders before they scale a
     row or column: numpy spends about a third of a Python scalar times a
@@ -157,32 +172,40 @@ def _rotate(
     in the temporaries, then writes the new p and q over the old vectors,
     so no ufunc allocates its result.
     """
-    h_c, h_s, h_es, h_ec, h_bs, h_bc, t1, t2, t3, t4 = operands
+    h_uc, h_vs, h_us, h_vc, h_buc, h_bvs, h_bus, h_bvc, t1, t2, t3, t4 = operands
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    e = cmath.exp(-1j * alpha) if alpha else 1.0
-    ec = e.conjugate()
-    h_c[()] = c
-    h_s[()] = s
-    h_es[()] = e * s
-    h_ec[()] = e * c
-    h_bs[()] = ec * s
-    h_bc[()] = ec * c
+    u = v = 1.0
+    if alpha:
+        diff = p ^ q
+        if q & diff & -diff:
+            v = cmath.exp(-1j * alpha)
+        else:
+            u = cmath.exp(1j * alpha)
+    bu, bv = u.conjugate(), v.conjugate()
+    h_uc[()] = u * c
+    h_vs[()] = v * s
+    h_us[()] = u * s
+    h_vc[()] = v * c
+    h_buc[()] = bu * c
+    h_bvs[()] = bv * s
+    h_bus[()] = bu * s
+    h_bvc[()] = bv * c
 
-    # columns of Q': (c, -e s) and (s, e c)
+    # columns of Q': (u c, -v s) and (u s, v c)
     colp, colq = cols[p], cols[q]
-    multiply(h_c, colp, t1)
-    multiply(h_es, colq, t2)
-    multiply(h_s, colp, t3)
-    multiply(h_ec, colq, t4)
+    multiply(h_uc, colp, t1)
+    multiply(h_vs, colq, t2)
+    multiply(h_us, colp, t3)
+    multiply(h_vc, colq, t4)
     subtract(t1, t2, colp)
     add(t3, t4, colq)
-    # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
+    # rows of the adjoint Q'^H: (conj(u) c, -conj(v) s) and (conj(u) s, conj(v) c)
     rowp, rowq = rows[p], rows[q]
-    multiply(h_c, rowp, t1)
-    multiply(h_bs, rowq, t2)
-    multiply(h_s, rowp, t3)
-    multiply(h_bc, rowq, t4)
+    multiply(h_buc, rowp, t1)
+    multiply(h_bvs, rowq, t2)
+    multiply(h_bus, rowp, t3)
+    multiply(h_bvc, rowq, t4)
     subtract(t1, t2, rowp)
     add(t3, t4, rowq)
 

@@ -1,9 +1,13 @@
 """Two-level rotations as multi-controlled gates, and the full synthesizer.
 
 A rotation at basis states (p, q) whose binary forms differ in one bit is
-exactly one multi-controlled gate. For larger Hamming distance, a ladder of
+exactly one multi-controlled RY, plus one multi-controlled PHASE on the
+same site for a complex step. For larger Hamming distance, a ladder of
 multi-controlled NOTs walks p along a gray-code path to a neighbor of q,
-the controlled rotation fires on that pair, and the ladder unwinds.
+the controlled rotation fires on that pair, and the ladder unwinds. Jacobi
+puts each step's phase on the pivot-1 state of the pair
+(:mod:`hermsynth.jacobi`), the row a PHASE gate scales, so neither
+orientation of the pair needs an X around its PHASE.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .circuit import (
     counts,
     gate_entries,
     invert_gates,
-    mirror_depth,
     simulate,
 )
 from .diagonal import synthesize_sign_diagonal
@@ -48,7 +51,9 @@ def gray_path(p: int, q: int, n: int) -> tuple[int, ...]:
     """Basis states from p to q, consecutive entries differing in one bit.
 
     Differing bits flip from the most significant down, so the final
-    transition flips the least significant differing bit (the pivot)."""
+    transition flips the least significant differing bit (the pivot),
+    and the path's last two states are the pivot pair that the rotation
+    core acts on, in either orientation."""
     if not (0 <= p < q < 1 << n):
         raise IndexOutOfRange(f"need 0 <= p < q < 2^{n}, got ({p}, {q})")
     diff = p ^ q
@@ -71,8 +76,9 @@ def _full_x(state: int, qubit: int, n: int) -> Gate:
 @cache
 def _route(p: int, q: int, n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...], Gate, bool]:
     """The gates of a rotation at (p, q) that do not depend on its angles:
-    the ladder, the ladder reversed, ``flip`` (the X at the pivot qubit i,
-    controlled on every other bit of q) and whether q has a 1 at i.
+    the ladder, the ladder reversed, ``site`` (the X at the pivot qubit i,
+    controlled on every other bit of q, whose site the rotation core takes;
+    it is not emitted) and whether q has a 1 at i.
 
     The ladder's X gates are shared through ``_full_x``, which holds at
     most n * 2^n gates per qubit count n.
@@ -89,31 +95,31 @@ def emit_two_level(step: RotationStep, n: int) -> tuple[Gate, ...]:
 
     The ladder moves |p> to the path state g adjacent to |q>; the controlled
     RY/PHASE pair acts on (g, q), which differ only at the pivot qubit i (the
-    last flip of the path); the ladder unwinds. When q carries a 0 at the
-    pivot the controlled gate sees the pair in swapped order, which negates
-    theta and, for complex pivots, requires conjugating the phase gate with
-    the pivot transposition ``flip``.
+    last flip of the path); the ladder unwinds. When q carries a 1 at the
+    pivot the core is RY(theta) then PHASE(-alpha), since Q' =
+    diag(1, e^(-i alpha)) G(theta). When q carries a 0 the gate sees the
+    pair in swapped order, and Jacobi's Q' = diag(e^(i alpha), 1) G(theta)
+    reads there as diag(1, e^(i alpha)) G(-theta): RY(-theta) then
+    PHASE(+alpha). Either way the phase is on the pivot-1 state, and every
+    complex step is one RY and one PHASE on one site.
 
-    The route of (p, q) (:func:`_route`: the ladder, its reverse, ``flip``
+    The route of (p, q) (:func:`_route`: the ladder, its reverse, ``site``
     and the orientation) is built once per (p, q, n) and shared by all
     steps and circuits: ``Gate`` is frozen, so a shared gate is safe, and
     it was validated once when it was built. The memo holds at most
     2^(n-1) (2^n - 1) routes per qubit count n, one per pair, of about
     260-300 bytes each beside the shared X gates (tracemalloc, CPython
     3.11): 496 routes and 130 KB at n = 5, 32,640 routes and 10 MB at
-    n = 8. The RY and PHASE cores sit on the site of ``flip`` and are
-    built from it by ``Gate._on_site``, which checks only their angles.
+    n = 8. The RY and PHASE cores take the target and controls of ``site``
+    through ``Gate._on_site``, which checks only their angles.
     """
-    ladder, unwind, flip, upright = _route(step.p, step.q, n)
-    if upright:
-        core = (flip._on_site(GateKind.RY, step.theta),)
-        if step.alpha:
-            core += (flip._on_site(GateKind.PHASE, -step.alpha),)
-    else:
-        # swapped orientation: the ladder parked |p> on the pivot-1 state
-        core = (flip._on_site(GateKind.RY, -step.theta),)
-        if step.alpha:
-            core += (flip, flip._on_site(GateKind.PHASE, -step.alpha), flip)
+    ladder, unwind, site, upright = _route(step.p, step.q, n)
+    # swapped orientation: the ladder parked |p> on the pivot-1 state, so
+    # both angles change sign
+    theta, alpha = (step.theta, step.alpha) if upright else (-step.theta, -step.alpha)
+    core = (site._on_site(GateKind.RY, theta),)
+    if alpha:
+        core += (site._on_site(GateKind.PHASE, -alpha),)
     return ladder + core + unwind
 
 
@@ -190,8 +196,9 @@ def _diagonal(gates, n: int, phase: complex) -> np.ndarray:
 def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
     """phase M C M^H, with M the simulated last k gates and C the gates
     between the first k and the last k. When ``k`` is at most
-    :func:`mirror_depth` of the gates, this is the circuit's matrix up to
-    roundoff. A k outside 0..len(gates) // 2 raises ValueError.
+    :func:`hermsynth.circuit.mirror_depth` of the gates, this is the
+    circuit's matrix up to roundoff. A k outside 0..len(gates) // 2 raises
+    ValueError.
 
     A centre of diagonal kinds is the vector d = phase diag(C)
     (:func:`_diagonal`), and the product M diag(d) M^H is formed one block
@@ -220,13 +227,15 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
 def circuit_error(circuit: Circuit, h) -> float:
     """Max entrywise deviation of the circuit's matrix from ``h``.
 
-    A circuit whose first k = :func:`mirror_depth` gates mirror its last
-    k, with k > 0, such as W^dagger D W, is computed by
+    A circuit whose first k = :func:`hermsynth.circuit.mirror_depth` gates
+    mirror its last k, with k > 0, such as W^dagger D W, is computed by
     :func:`mirror_matrix`; any other circuit is simulated whole. The
     circuit alone chooses the route, and h is read once, by
-    :func:`max_abs_diff`.
+    :func:`max_abs_diff`. k is the circuit's ``_mirror_depth``, walked once
+    per circuit, so the synthesis report's :func:`counts` and this route
+    share one walk.
     """
-    k = mirror_depth(circuit.gates)
+    k = circuit._mirror_depth
     return max_abs_diff(mirror_matrix(circuit, k) if k else simulate(circuit), h)
 
 

@@ -173,6 +173,26 @@ def rotate_inplace(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     )
 
 
+def phase_on_q(p: int, q: int) -> bool:
+    """Whether q holds the pivot bit of (p, q), the lowest set bit of p ^ q.
+    The phase of a complex rotation goes on that state: e^(-i alpha) on q
+    when it holds the bit, e^(i alpha) on p otherwise (:func:`phase_factors`),
+    and the emitted PHASE gate acts on it (:func:`emit_two_level_gray`)."""
+    low = (p ^ q) & -(p ^ q)
+    return bool(q & low)
+
+
+def phase_factors(step: RotationStep) -> tuple[complex, complex]:
+    """(u, v) of the step's Q' = diag(u, v) G(theta) at (p, q):
+    (1, e^(-i alpha)) when :func:`phase_on_q`, else (e^(i alpha), 1), and
+    (1, 1) for a real step."""
+    if not step.alpha:
+        return 1.0, 1.0
+    if phase_on_q(step.p, step.q):
+        return 1.0, cmath.exp(-1j * step.alpha)
+    return cmath.exp(1j * step.alpha), 1.0
+
+
 def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None:
     """:func:`rotate_inplace` as it was before its 0-d coefficient
     operands: Python scalar coefficients and copied rows and columns. The
@@ -180,19 +200,19 @@ def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None
     p, q = step.p, step.q
     c = math.cos(step.theta / 2.0)
     s = math.sin(step.theta / 2.0)
-    e = cmath.exp(-1j * step.alpha) if step.alpha else 1.0
+    u, v = phase_factors(step)
 
-    # columns of Q': (c, -e s) and (s, e c)
+    # columns of Q': (u c, -v s) and (u s, v c)
     colp = m[:, p].copy()
     colq = m[:, q].copy()
-    m[:, p] = c * colp - (e * s) * colq
-    m[:, q] = s * colp + (e * c) * colq
-    # rows of the adjoint Q'^H: (c, -conj(e) s) and (s, conj(e) c)
-    ec = e.conjugate()
+    m[:, p] = (u * c) * colp - (v * s) * colq
+    m[:, q] = (u * s) * colp + (v * c) * colq
+    # rows of the adjoint Q'^H: (conj(u) c, -conj(v) s) and (conj(u) s, conj(v) c)
+    bu, bv = u.conjugate(), v.conjugate()
     rowp = m[p, :].copy()
     rowq = m[q, :].copy()
-    m[p, :] = c * rowp - (ec * s) * rowq
-    m[q, :] = s * rowp + (ec * c) * rowq
+    m[p, :] = (bu * c) * rowp - (bv * s) * rowq
+    m[q, :] = (bu * s) * rowp + (bv * c) * rowq
 
     if abs(m[p, q]) > zero_tol:
         raise RotationFailed(
@@ -284,7 +304,8 @@ def apply_rotation(
 
 
 def step_factors(step: RotationStep, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense phase factor R(-alpha) and rotation factor G(theta) for one step.
+    """Dense phase factor R = diag(u, v) at (p, q) (:func:`phase_factors`)
+    and rotation factor G(theta) for one step.
 
     The product R @ G is the two-level Q' embedding; R is the identity when
     no phase is needed.
@@ -292,8 +313,7 @@ def step_factors(step: RotationStep, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if step.q >= dim:
         raise BadDimension(f"step indices ({step.p}, {step.q}) exceed dim {dim}")
     r = np.eye(dim, dtype=complex)
-    if step.alpha:
-        r[step.q, step.q] = cmath.exp(-1j * step.alpha)
+    r[step.p, step.p], r[step.q, step.q] = phase_factors(step)
     g = np.eye(dim, dtype=complex)
     c = math.cos(step.theta / 2.0)
     s = math.sin(step.theta / 2.0)
@@ -305,7 +325,7 @@ def step_factors(step: RotationStep, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def two_level_matrix(step: RotationStep, dim: int) -> np.ndarray:
-    """Dense embedding of Q' = R(-alpha) G(theta) at (p, q)."""
+    """Dense embedding of Q' = diag(u, v) G(theta) at (p, q)."""
     r, g = step_factors(step, dim)
     return r @ g
 
@@ -313,9 +333,11 @@ def two_level_matrix(step: RotationStep, dim: int) -> np.ndarray:
 def emit_two_level_gray(step: RotationStep, n: int) -> tuple[Gate, ...]:
     """``twolevel.emit_two_level`` rebuilt for each step from its gray path,
     every gate by the validating ``Gate(...)``: the ladder of fully
-    controlled X gates to the neighbour of q, the RY (negated when q has a
-    0 at the pivot) and for complex steps the PHASE, conjugated by the
-    pivot X in the swapped orientation, then the ladder unwound."""
+    controlled X gates to the neighbour of q, the RY and for complex steps
+    the PHASE on the pivot-1 state, then the ladder unwound. When q holds
+    the pivot bit (:func:`phase_on_q`) the core is RY(theta), PHASE(-alpha);
+    otherwise the pair is seen in swapped order and it is RY(-theta),
+    PHASE(alpha)."""
     states = gray_path(step.p, step.q, n)
     flips = [n - 1 - ((a ^ b).bit_length() - 1) for a, b in zip(states, states[1:])]
 
@@ -325,15 +347,10 @@ def emit_two_level_gray(step: RotationStep, n: int) -> tuple[Gate, ...]:
     ladder = tuple(Gate(GateKind.X, qb, controls(s, qb)) for s, qb in zip(states, flips[:-1]))
     i = flips[-1]
     site = controls(step.q, i)
-    if (step.q >> (n - 1 - i)) & 1:
-        core = (Gate(GateKind.RY, i, site, step.theta),)
-        if step.alpha:
-            core += (Gate(GateKind.PHASE, i, site, -step.alpha),)
-    else:
-        core = (Gate(GateKind.RY, i, site, -step.theta),)
-        if step.alpha:
-            flip = Gate(GateKind.X, i, site)
-            core += (flip, Gate(GateKind.PHASE, i, site, -step.alpha), flip)
+    sign = 1.0 if phase_on_q(step.p, step.q) else -1.0
+    core = (Gate(GateKind.RY, i, site, sign * step.theta),)
+    if step.alpha:
+        core += (Gate(GateKind.PHASE, i, site, -sign * step.alpha),)
     return ladder + core + ladder[::-1]
 
 

@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import CH_EMBED, CZ_EMBED, random_hermitian_unitary
 from hermsynth import cli, jacobi, twolevel
-from hermsynth.circuit import Circuit, Gate, GateKind, counts, load_circuit, save_circuit, serialize
+from hermsynth.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    counts,
+    load_circuit,
+    mirror_depth,
+    save_circuit,
+    serialize,
+)
 from hermsynth.cli import main
 from hermsynth.jacobi import diagonalize
 from hermsynth.matrices import format_matrix, load_matrix, parse_matrix, save_matrix
@@ -239,7 +248,7 @@ class TestVerify:
         circuit = load_circuit(out)
         gates = list(circuit.gates)
         i = next(j for j, g in enumerate(gates) if g.kind is GateKind.RY and j > 2)
-        assert i < twolevel.mirror_depth(gates)
+        assert i < mirror_depth(gates)
         gates[i] = Gate(GateKind.RY, gates[i].target, gates[i].controls, gates[i].param + 1e-7)
         save_circuit(out, Circuit(circuit.n_qubits, tuple(gates), circuit.global_phase))
         capsys.readouterr()

@@ -489,6 +489,20 @@ class TestRowScan:
         assert (res.steps[0].p, res.steps[0].q) == (0, 2)
         assert res == diagonalize_row_major(h)
 
+    def test_pivot_behind_exact_zero(self):
+        # the banded chain with indices 1 and 3 swapped: one block, whose
+        # first walked row holds an exact zero at column 1 that no rotation
+        # has reached, and pivots at columns 2 and 3 behind it; the walk
+        # passes the zero and rotates (0, 2) first
+        perm = np.arange(16)
+        perm[[1, 3]] = perm[[3, 1]]
+        h = banded_chain(4)[np.ix_(perm, perm)]
+        assert _blocks(h) is None
+        assert h[0, 1] == 0 and h[0, 2] != 0 and h[0, 3] != 0
+        res = diagonalize(h)
+        assert (res.steps[0].p, res.steps[0].q) == (0, 2)
+        assert res == diagonalize_row_major(h)
+
     def test_rotation_fills_later_entry_of_row(self):
         # H (x) X: entry (0, 2) is zero until the rotation at (0, 1) mixes
         # in row 1, whose entry (1, 2) is not; the walk then rotates (0, 2)

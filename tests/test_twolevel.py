@@ -23,14 +23,24 @@ from helpers import (
     phased_involution,
     random_hermitian_unitary,
     random_unitary,
+    rotate_inplace,
     two_level_matrix,
 )
-from hermsynth import twolevel
-from hermsynth.circuit import Circuit, Gate, GateKind, counts, invert_gates, serialize, simulate
+from hermsynth import circuit as circuit_module, twolevel
+from hermsynth.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    counts,
+    invert_gates,
+    mirror_depth,
+    serialize,
+    simulate,
+)
 from hermsynth.diagonal import synthesize_sign_diagonal
 from hermsynth.errors import IndexOutOfRange, VerificationFailed
-from hermsynth.jacobi import RotationStep, diagonalize
-from hermsynth.matrices import max_abs_diff
+from hermsynth.jacobi import RotationStep, diagonalize, rotation_params
+from hermsynth.matrices import DEFAULT_TOLERANCES, max_abs_diff
 from hermsynth.optimize import cancel_adjacent_inverses, rewrite_cz_cnot
 from hermsynth.twolevel import (
     assemble,
@@ -38,7 +48,6 @@ from hermsynth.twolevel import (
     circuit_error,
     emit_two_level,
     gray_path,
-    mirror_depth,
     mirror_matrix,
     synthesize,
     verify_circuit,
@@ -98,8 +107,8 @@ class TestEmitTwoLevel:
         assert max_abs_diff(got, two_level_matrix(step, 4)) < 1e-12
 
     def test_swapped_orientation_pair(self):
-        # (1, 2): the path ends on the pivot-0 state, exercising the
-        # orientation fix for complex pivots
+        # (1, 2): the path ends on the pivot-0 state, so the core sees the
+        # pair swapped and the phase sits on p
         step = RotationStep(1, 2, -0.8, 1.1)
         got = simulate(Circuit(2, emit_two_level(step, 2)))
         assert max_abs_diff(got, two_level_matrix(step, 4)) < 1e-12
@@ -152,6 +161,42 @@ class TestEmitTwoLevel:
     def test_step_outside_register_raises(self, p, q, n):
         with pytest.raises(IndexOutOfRange, match=rf"^need 0 <= p < q < 2\^{n}, got \({p}, {q}\)$"):
             emit_two_level(RotationStep(p, q, 0.3, 0.7), n)
+
+
+class TestPhaseOnPivotState:
+    """Jacobi puts each complex step's phase on the pivot-1 state of its
+    pair, the state a PHASE gate scales: every complex core is one RY and
+    one PHASE on one site in either orientation, and the emitted gates are
+    the kernel's Q', off the pair's 2x2 block too."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_core_is_one_ry_and_one_phase(self, n):
+        for p in range(1 << n):
+            for q in range(p + 1, 1 << n):
+                gates = emit_two_level(RotationStep(p, q, 0.7, -1.9), n)
+                rungs = (p ^ q).bit_count() - 1
+                ladder, core = gates[:rungs], gates[rungs : len(gates) - rungs]
+                assert all(g.kind is GateKind.X for g in ladder)
+                assert gates[len(gates) - rungs :] == ladder[::-1]
+                assert [g.kind for g in core] == [GateKind.RY, GateKind.PHASE]
+                ry, phase = core
+                assert (phase.target, phase.controls) == (ry.target, ry.controls)
+                assert len(ry.controls) == n - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_emission_is_the_kernel_rotation(self, n):
+        # Q^H h Q with Q the simulated gates, against the kernel jacobi._rotate
+        # on the same h: a phase on the other state of the pair would scale
+        # rows and columns p and q outside the block differently
+        h = random_hermitian_unitary(np.random.default_rng(70 + n), 1 << n)
+        for p in range(1 << n):
+            for q in range(p + 1, 1 << n):
+                step = RotationStep(p, q, *rotation_params(h[p, p].real, h[q, q].real, h[p, q]))
+                assert step.alpha
+                m = simulate(Circuit(n, emit_two_level(step, n)))
+                rotated = h.copy()
+                rotate_inplace(rotated, step, DEFAULT_TOLERANCES.zero_tol)
+                assert max_abs_diff(m.conj().T @ h @ m, rotated) <= 1e-12
 
 
 class TestRouteMemo:
@@ -224,16 +269,14 @@ class TestEmitExactGates:
         )
 
     def test_swapped_orientation_with_phase(self):
-        # the path 1 -> 3 -> 2 ends on the pivot-0 state
+        # the path 1 -> 3 -> 2 ends on the pivot-0 state: the core sees the
+        # pair swapped, and Jacobi's phase already sits on p, its pivot-1 state
         ladder = Gate(GateKind.X, 1, ((0, False), (2, True)))
         ctl = ((0, False), (1, True))
-        flip = Gate(GateKind.X, 2, ctl)
         assert emit_two_level(RotationStep(1, 2, 0.5, 1.25), 3) == (
             ladder,
             Gate(GateKind.RY, 2, ctl, -0.5),
-            flip,
-            Gate(GateKind.PHASE, 2, ctl, -1.25),
-            flip,
+            Gate(GateKind.PHASE, 2, ctl, 1.25),
             ladder,
         )
 
@@ -416,7 +459,7 @@ class TestBuildCircuit:
 
     @pytest.mark.parametrize(
         "sign, n, rotations, sweeps, gates_none",
-        [(1, 2, 9, 2, 46), (-1, 2, 9, 2, 46), (1, 3, 47, 3, 318), (-1, 3, 47, 3, 318)],
+        [(1, 2, 9, 2, 38), (-1, 2, 9, 2, 38), (1, 3, 47, 3, 294), (-1, 3, 47, 3, 294)],
     )
     def test_centre_cancels_away(self, sign, n, rotations, sweeps, gates_none):
         # rotations run, the sign diagonal is empty, and the two halves
@@ -737,6 +780,26 @@ class TestMirrorRoute:
                     assert list(report.gate_counts.items()) == list(
                         counts_reference(mutated).items()
                     )
+
+    def test_one_mirror_walk_per_synthesis(self, monkeypatch):
+        # the report's counts and the verify route read one walk of the
+        # finished circuit; the build walks none
+        walks = []
+        real_depth = circuit_module.mirror_depth
+
+        def counting_depth(gates):
+            walks.append(len(gates))
+            return real_depth(gates)
+
+        monkeypatch.setattr(circuit_module, "mirror_depth", counting_depth)
+        monkeypatch.setattr(twolevel, "mirror_depth", counting_depth, raising=False)
+        rng = np.random.default_rng(77)
+        inputs = (random_hermitian_unitary(rng, 16), phased_involution(rng, 5), CZ_EMBED)
+        for h in inputs:
+            walks.clear()
+            circuit, report = synthesize(h)
+            assert walks == [len(circuit.gates)]
+            assert report.gate_counts == counts(circuit) and walks == [len(circuit.gates)]
 
     def test_mutated_first_half_fails(self):
         # one first-half angle off by 1e-7: the literal match stops there,
