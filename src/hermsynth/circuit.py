@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -254,14 +254,10 @@ def simulate(circuit: Circuit) -> np.ndarray:
     n-1 controls reads its two rows as views, through ``perm.item``, and
     writes them in place: the four products go to the temporaries, and
     their sums over the old rows. A diagonal gate scales its row in place,
-    holder first. A PHASE right after a 2x2 update on the same site scales
-    that update's row j as it is stored: every complex rotation core that
-    ``twolevel.emit_two_level`` writes is an RY and then a PHASE on one
-    site, in either orientation of its pair, so each one takes this fold
-    where no pass has merged it away. A gate with fewer controls picks
-    its rows by index arrays, into copies, and stores them back: a diagonal
-    one multiplies a named row, since ``*=`` and numpy's reuse of an
-    unnamed fancy-indexed temporary each round differently."""
+    holder first. A gate with fewer controls picks its rows by index
+    arrays, into copies, and stores them back: a diagonal one multiplies a
+    named row, since ``*=`` and numpy's reuse of an unnamed fancy-indexed
+    temporary each round differently."""
     x, ry, phase = GateKind.X, GateKind.RY, GateKind.PHASE  # Enum lookups cost
     n = circuit.n_qubits
     full = n - 1
@@ -271,12 +267,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
     h00, h01, h10, h11 = (np.zeros((), dtype=complex) for _ in range(4))
     t1, t2, t3, t4 = (np.empty(1 << n, dtype=complex) for _ in range(4))
     sites: dict[tuple, tuple] = {}  # (target, controls) -> _row_pairs
-    gates = circuit.gates
-    fold = False  # the gate was folded into the update before it
-    for gate, after in zip(gates, chain(islice(gates, 1, None), (None,))):
-        if fold:
-            fold = False
-            continue
+    for gate in circuit.gates:
         target, controls = gate.target, gate.controls
         site = (target, controls)
         pair = sites.get(site)
@@ -312,18 +303,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
             multiply(h10, a, t3)
             multiply(h11, b, t4)
             add(t1, t2, a)
-            fold = (
-                after is not None
-                and after.kind is phase
-                and after.target == target
-                and after.controls == controls
-            )
-            if fold:
-                add(t3, t4, t3)
-                h11[()] = cmath.exp(1j * after.param)
-                multiply(h11, t3, b)
-            else:
-                add(t3, t4, b)
+            add(t3, t4, b)
             continue
         if kind is x:
             perm[i], perm[j] = perm[j], perm[i]

@@ -45,11 +45,10 @@ from .matrices import (
 # n = 8 when every entry above zero_tol is rotated).
 _MAX_SWEEPS = 30
 # The pivot rule (:func:`diagonalize`): a pair whose diagonal entries have
-# the same sign is rotated only when its entry exceeds _SAME_SIGN_CUT, in
-# blocks of more than _PLAIN_ROWS rows, until a sweep leaves more than
-# _FALLBACK_SHARE of the off-diagonal norm it started with.
+# the same sign is rotated only when its entry exceeds _SAME_SIGN_CUT,
+# until a sweep leaves more than _FALLBACK_SHARE of the off-diagonal norm
+# it started with.
 _SAME_SIGN_CUT = 0.1
-_PLAIN_ROWS = 4
 _FALLBACK_SHARE = 0.9
 
 
@@ -233,14 +232,14 @@ def snap_signs(diag_entries) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _block_mates(m: np.ndarray) -> list[tuple[int, list[int], bool]]:
-    """(p, the block-mates of p above p, whether p's block has more than
-    _PLAIN_ROWS rows) for each index p that has any mates, by ascending p,
-    the mates ascending. The blocks are those of m's nonzero pattern
-    (:func:`_blocks`); one block makes every index above p a mate."""
+def _block_mates(m: np.ndarray) -> list[tuple[int, list[int]]]:
+    """(p, the block-mates of p above p) for each index p that has any
+    mates, by ascending p, the mates ascending. The blocks are those of m's
+    nonzero pattern (:func:`_blocks`); one block makes every index above p
+    a mate."""
     mates = [
-        (block[i], block[i + 1 :], len(block) > _PLAIN_ROWS)
-        for idx in _blocks(m) or (np.arange(len(m))[None],)
+        (block[i], block[i + 1 :])
+        for idx in _blocks(m)
         if idx.shape[1] > 1
         for block in idx.tolist()
         for i in range(len(block) - 1)
@@ -255,19 +254,18 @@ def _pivots(rows, mates, same: float, zero_tol: float):
     the caller rotates each pivot before the next is looked for. An entry
     is a pivot when it exceeds zero_tol and, if the real parts of its two
     diagonal entries have the same sign (both negative or both not), also
-    ``same``. Blocks of at most _PLAIN_ROWS rows take zero_tol for both.
+    ``same``.
 
     Row p's candidates are its block-mates above p (``mates``, from
     :func:`_block_mates`), each tested in turn. A rotation at (p, q) mixes
     only rows and columns of one block, so every entry between two blocks
     stays an exact (+/-) zero and is never a pivot."""
-    for p, later, wide in mates:
+    for p, later in mates:
         row = rows[p]
-        cut = same if wide else zero_tol
         for q in later:
             entry = abs(row.item(q))
             if entry > zero_tol and (
-                entry > cut or (row.item(p).real < 0) != (rows[q].item(q).real < 0)
+                entry > same or (row.item(p).real < 0) != (rows[q].item(q).real < 0)
             ):
                 yield p, q
 
@@ -286,10 +284,7 @@ def diagonalize(h) -> JacobiResult:
     Jacobi, Numer. Math. 9, 1 (1966); on repeated eigenvalues, Hari,
     Numer. Math. 60, 375 (1991)). After the first sweep that leaves more
     than _FALLBACK_SHARE (90%) of the off-diagonal norm it started with,
-    every entry above zero_tol is a pivot for the rest of the run. Blocks
-    of at most _PLAIN_ROWS (4) rows, such as a dense n = 2 input or each
-    4x4 block of a block-sparse one, take that rule from the start: the
-    cut gains nothing there.
+    every entry above zero_tol is a pivot for the rest of the run.
 
     The input's blocks are labelled once, and row p tests its block-mates
     above p in turn (every index above p when there is one block), so a

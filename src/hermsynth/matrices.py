@@ -45,51 +45,50 @@ def as_matrix(a) -> np.ndarray:
 def is_hermitian(a) -> bool:
     """Whether max |m - m^H| is within ``hermitian_tol``.
 
-    The difference is formed one block of m's nonzero pattern at a time
-    (:func:`_stacks`): i and j sit in one block whenever m[i, j] or m[j, i]
-    is nonzero, so between two blocks both entries are exact zeros and so
-    is their difference. A pattern that is one block, such as any dense
-    input, takes the whole difference."""
+    The difference is formed one block of m's nonzero pattern at a time,
+    batched by block size (:func:`_blocks`): i and j sit in one block
+    whenever m[i, j] or m[j, i] is nonzero, so between two blocks both
+    entries are exact zeros and so is their difference. A difference too
+    large for a float is infinite, and fails."""
     tol = DEFAULT_TOLERANCES.hermitian_tol
-    for b in _stacks(as_matrix(a)):
-        if float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) > tol:
-            return False
+    m = as_matrix(a)
+    with np.errstate(over="ignore"):
+        for idx in _blocks(m):
+            b = m[idx[:, :, None], idx[:, None, :]]
+            if not float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) <= tol:
+                return False
     return True
 
 
 def is_unitary(a) -> bool:
     """Whether m m^H is the identity within ``unitary_tol``.
 
-    The product is formed one block of m's nonzero pattern at a time
-    (:func:`_stacks`): between two blocks every term of m m^H is an exact
-    zero, as in the identity. A pattern that is one block, such as any
-    dense input, takes the whole product."""
-    for b in _stacks(as_matrix(a)):
+    The product is formed one block of m's nonzero pattern at a time,
+    batched by block size (:func:`_blocks`): between two blocks every term
+    of m m^H is an exact zero, as in the identity. A block with an entry
+    of modulus above 1 + ``unitary_tol`` fails before its product is
+    formed, as the diagonal of m m^H would: a product of entries that
+    large can overflow."""
+    tol = DEFAULT_TOLERANCES.unitary_tol
+    m = as_matrix(a)
+    for idx in _blocks(m):
+        b = m[idx[:, :, None], idx[:, None, :]]
+        if not float(np.max(np.abs(b))) <= 1.0 + tol:
+            return False
         deviation = b @ b.conj().transpose(0, 2, 1)
         diagonal = np.arange(b.shape[1])
         deviation[:, diagonal, diagonal] -= 1.0
-        if float(np.max(np.abs(deviation))) > DEFAULT_TOLERANCES.unitary_tol:
+        if not float(np.max(np.abs(deviation))) <= tol:
             return False
     return True
 
 
-def _stacks(m: np.ndarray):
-    """The blocks of m's nonzero pattern (:func:`_blocks`) as stacks of
-    square submatrices, one (count, size, size) stack per block size and
-    each taken when it is reached; the whole matrix as one stack of one
-    when the pattern is one block."""
-    blocks = _blocks(m)
-    if blocks is None:
-        return (m[None],)
-    return (m[idx[:, :, None], idx[:, None, :]] for idx in blocks)
-
-
-def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
+def _blocks(m: np.ndarray) -> list[np.ndarray]:
     """The connected components ("blocks") of the nonzero pattern of the
     square matrix ``m``, with i and j joined when m[i, j] or m[j, i] is
     nonzero: one (count, size) index array per block size, ascending, each
-    row one block's indices in ascending order. None when the pattern is
-    one block.
+    row one block's indices in ascending order. A pattern that is one
+    block, such as any dense matrix, gives ``[np.arange(N)[None]]``.
 
     If i and j sit in different blocks, m[i, k] and m[j, k] are never both
     nonzero, so every term of (m D m^H)[i, j] is an exact zero for any
@@ -104,7 +103,7 @@ def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
     rounds."""
     dim = m.shape[0]
     if np.all(m[0]):
-        return None
+        return [np.arange(dim)[None]]
     # re and im tested as float pairs: np.nonzero of complex is 6x slower
     pairs = (np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0).view(np.uint16)
     flat = np.flatnonzero(pairs.astype(bool))
@@ -119,8 +118,6 @@ def _blocks(m: np.ndarray) -> list[np.ndarray] | None:
         cross = a != b
         rows, cols, a, b = rows[cross], cols[cross], a[cross], b[cross]
     sizes = np.bincount(labels)[labels]
-    if sizes[0] == dim:
-        return None
     order = np.lexsort((labels, sizes))
     # np.unique costs about 11 ms on its first call in a process (numpy 2.4)
     return [order[sizes[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(sizes))]
@@ -148,7 +145,8 @@ def max_abs_diff(a, b) -> float:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot compare {a.shape} with {b.shape}")
-    return float(np.max(np.abs(a - b)))
+    with np.errstate(over="ignore"):  # a difference past the float range is inf
+        return float(np.max(np.abs(a - b)))
 
 
 # --- matrix text format ---------------------------------------------------

@@ -217,7 +217,7 @@ def mirror_matrix(circuit: Circuit, k: int) -> np.ndarray:
         return (m @ simulate(Circuit(n, centre, circuit.global_phase))) @ m.conj().T
     d = _diagonal(centre, n, circuit.global_phase)
     out = np.zeros_like(m)
-    for idx in _blocks(m) or (np.arange(len(m))[None],):
+    for idx in _blocks(m):
         rows, cols = idx[:, :, None], idx[:, None, :]
         b = m[rows, cols]
         out[rows, cols] = (b * d[cols]) @ b.conj().transpose(0, 2, 1)

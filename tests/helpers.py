@@ -227,7 +227,6 @@ def rotate_reference(m: np.ndarray, step: RotationStep, zero_tol: float) -> None
 # The pivot rule as documented in ``jacobi.diagonalize``, written out here
 # rather than imported, so the walk holds the library to the stated values.
 SAME_SIGN_CUT = 0.1
-PLAIN_ROWS = 4
 FALLBACK_SHARE = 0.9
 
 
@@ -236,8 +235,7 @@ def diagonalize_row_major(h, same_sign_cut: float = SAME_SIGN_CUT) -> JacobiResu
     of ``ordering_row_major`` in turn, reading work[p, q] and the real parts
     of work[p, p] and work[q, q] at test time, and rotates it by
     ``rotate_reference`` when its entry exceeds zero_tol and, for a
-    same-sign pair in a block of more than PLAIN_ROWS rows of the input's
-    nonzero pattern (``components_reference``), also ``same_sign_cut``.
+    same-sign pair, also ``same_sign_cut``.
     After the first sweep that leaves more than FALLBACK_SHARE of the
     off-diagonal norm it started with, every pair takes zero_tol. With
     ``same_sign_cut`` 0.0 this is the rule that rotates every entry above
@@ -245,10 +243,6 @@ def diagonalize_row_major(h, same_sign_cut: float = SAME_SIGN_CUT) -> JacobiResu
     tol = DEFAULT_TOLERANCES
     work = as_matrix(h).copy()
     dim = work.shape[0]
-    block_rows = [0] * dim
-    for part in components_reference(work != 0):
-        for i in part:
-            block_rows[i] = len(part)
     threshold = tol.zero_tol * dim
     steps: list[RotationStep] = []
     per_sweep: list[int] = []
@@ -264,12 +258,7 @@ def diagonalize_row_major(h, same_sign_cut: float = SAME_SIGN_CUT) -> JacobiResu
             if entry <= tol.zero_tol:
                 continue
             same_sign = (work[p, p].real < 0) == (work[q, q].real < 0)
-            if (
-                same_sign
-                and not fallen_back
-                and block_rows[p] > PLAIN_ROWS
-                and entry <= same_sign_cut
-            ):
+            if same_sign and not fallen_back and entry <= same_sign_cut:
                 continue
             theta, alpha = rotation_params(
                 work[p, p].real, work[q, q].real, complex(work[p, q])

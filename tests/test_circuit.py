@@ -445,10 +445,11 @@ def few_site_circuits(draw):
 
 
 class TestRowViews:
-    """A gate with n-1 controls reads and writes its two rows as views, and
-    a PHASE right after a 2x2 update on the same site scales that update's
-    row j as it is stored. Every case must equal the full 2x2 update of
-    every gate bit for bit."""
+    """A gate with n-1 controls reads and writes its two rows as views: a
+    2x2 update through the temporaries, a diagonal gate in place, so a
+    PHASE right after an update on the same site scales the row j that
+    update stored. Every case must equal the full 2x2 update of every gate
+    bit for bit."""
 
     @staticmethod
     def circuit(n, core):
@@ -468,9 +469,9 @@ class TestRowViews:
         ry = Gate(GateKind.RY, n - 1, self.full_site(n, n - 1, 5), 0.7)
         phase = ry._on_site(GateKind.PHASE, -1.1)
         self.check(self.circuit(n, (ry, phase)))
-        # a second PHASE is applied on its own, and an H update folds too
+        # a second PHASE in a row, and a PHASE after an H update
         self.check(self.circuit(n, (ry, phase, phase, ry, phase._on_site(GateKind.H, None), phase)))
-        # a PHASE first, and an update last, with nothing to fold
+        # a PHASE first, and an update last
         self.check(self.circuit(n, (phase, ry)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -481,7 +482,7 @@ class TestRowViews:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_phase_on_other_controls(self, n):
-        # the same target, one control of the other polarity: no fold
+        # the same target, one control of the other polarity
         ry = Gate(GateKind.RY, 1, self.full_site(n, 1, 0b01), 0.9)
         phase = Gate(GateKind.PHASE, 1, self.full_site(n, 1, 0b00), 0.5)
         assert phase.target == ry.target and phase.controls != ry.controls

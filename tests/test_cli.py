@@ -167,6 +167,13 @@ class TestSynth:
         save_matrix(path, np.diag([1.0, 0.5]))
         assert main(["synth", str(path)]) == 3
 
+    def test_huge_hermitian_exit(self, tmp_path, capsys):
+        # Hermitian, but m m^H overflows: rejected as not unitary
+        path = tmp_path / "huge.txt"
+        save_matrix(path, 1e308 * np.array([[1, 1 + 1j], [1 - 1j, -1]]))
+        assert main(["synth", str(path)]) == 3
+        assert "deviates from unitarity" in capsys.readouterr().err
+
     def test_bad_dimension_exit(self, tmp_path):
         path = tmp_path / "bad.txt"
         save_matrix(path, np.eye(3))

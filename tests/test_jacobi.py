@@ -378,6 +378,13 @@ class TestDiagonalize:
         with pytest.raises(NotUnitary):
             diagonalize(np.diag([1.0, 0.5]))
 
+    def test_rejects_huge_hermitian(self):
+        # Hermitian, with m m^H past the float range: not unitary
+        h = 1e308 * np.array([[1, 1 + 1j], [1 - 1j, -1]])
+        assert is_hermitian(h)
+        with pytest.raises(NotUnitary):
+            diagonalize(h)
+
     def test_sparse_rejected_as_non_hermitian_first(self):
         # a block-sparse input scaled off unitarity, with one unmirrored
         # entry that joins two of its blocks: neither predicate holds, and
@@ -387,7 +394,7 @@ class TestDiagonalize:
         h[0, 4] = 1e-6
         p = rng.permutation(32)
         for m in (h, h[np.ix_(p, p)]):
-            assert _blocks(m) is not None
+            assert sum(map(len, _blocks(m))) > 1
             assert not is_hermitian(m) and not is_unitary(m)
             with pytest.raises(NotHermitian):
                 diagonalize(m)
@@ -448,7 +455,7 @@ class TestRowScan:
         inputs = [involution, block_direct_sum(rng, n), block_direct_sum(rng, n, 8)]
         if 4 <= n <= 6:
             chain = banded_chain(n)
-            assert _blocks(chain) is None
+            assert [idx.shape for idx in _blocks(chain)] == [(1, 1 << n)]
             assert np.count_nonzero(chain, axis=1).max() <= 4
             inputs.append(chain)
         for h in inputs:
@@ -497,7 +504,7 @@ class TestRowScan:
         perm = np.arange(16)
         perm[[1, 3]] = perm[[3, 1]]
         h = banded_chain(4)[np.ix_(perm, perm)]
-        assert _blocks(h) is None
+        assert [idx.shape for idx in _blocks(h)] == [(1, 16)]
         assert h[0, 1] == 0 and h[0, 2] != 0 and h[0, 3] != 0
         res = diagonalize(h)
         assert (res.steps[0].p, res.steps[0].q) == (0, 2)
@@ -541,7 +548,7 @@ class TestBlockWalk:
             sizes.append(data.draw(st.integers(1, min(8, dim // 2, dim - sum(sizes)))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         h = permuted_direct_sum([random_hermitian_unitary(rng, s) for s in sizes], rng.permutation(dim))
-        assert _blocks(h) is not None
+        assert sum(map(len, _blocks(h))) > 1
         assert diagonalize(h) == diagonalize_row_major(h)
 
     def test_entries_at_zero_tol(self):
@@ -641,13 +648,13 @@ class TestReferenceWalk:
         v = np.array([[0.6, 0.8j], [-0.8j, -0.6]])
         for u in (HADAMARD, PAULI_X, PAULI_Y, v):
             for h in (controlled_u(u, k), controlled_u(u, k, target=0, negative=(k,))):
-                assert _blocks(h) is not None
+                assert sum(map(len, _blocks(h))) > 1
                 assert diagonalize(h) == diagonalize_row_major(h)
 
 
 class TestSameSignCut:
-    """The pivot rule: a same-sign pair in a block of more than four rows
-    is rotated only above ``jacobi._SAME_SIGN_CUT``, until a sweep leaves
+    """The pivot rule: a same-sign pair, in a block of any size, is
+    rotated only above ``jacobi._SAME_SIGN_CUT``, until a sweep leaves
     more than 90% of the off-diagonal norm it started with."""
 
     workloads = load_bench_workloads()
@@ -681,6 +688,28 @@ class TestSameSignCut:
         monkeypatch.setattr(jacobi, "_SAME_SIGN_CUT", 0.0)
         assert diagonalize(h).steps == res.steps
         assert serialize(synthesize(h)[0]) == serialize(circuit)
+
+    @pytest.mark.parametrize(
+        "make, cut, every",
+        [
+            (lambda rng: random_hermitian_unitary(rng, 4), (5, 3), (5, 1)),
+            (lambda rng: block_direct_sum(rng, 3), (8, 3), (8, 1)),
+        ],
+        ids=["dense-4", "blocks-4x4"],
+    )
+    def test_small_blocks_take_the_cut(self, make, cut, every, monkeypatch):
+        # blocks of 4 rows: the first sweep skips the same-sign entry (0, 3),
+        # at or below the cut, which the every-pivot rule rotates
+        h = make(np.random.default_rng(6))
+        res = diagonalize(h)
+        assert res.sweep_rotations == cut
+        assert (0, 3) not in [(s.p, s.q) for s in res.steps[: cut[0]]]
+        assert res == diagonalize_row_major(h)
+        assert synthesize(h)[1].verify_error <= 1e-11
+        monkeypatch.setattr(jacobi, "_SAME_SIGN_CUT", 0.0)
+        plain = diagonalize(h)
+        assert plain.sweep_rotations == every
+        assert (0, 3) in [(s.p, s.q) for s in plain.steps[: every[0]]]
 
     def test_degenerate_same_sign_pair(self):
         # an 8-row reflection with a_00 == a_11 == 0.75 and a_01 = 0.25 above

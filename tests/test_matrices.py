@@ -34,6 +34,10 @@ from hermsynth.matrices import (
 RNG = np.random.default_rng(1234)
 
 
+# Hermitian, with entries so large that m m^H overflows
+HUGE_HERMITIAN = 1e308 * np.array([[1, 1 + 1j], [1 - 1j, -1]])
+
+
 class TestPredicates:
     @pytest.mark.parametrize("m", [PAULI_X, PAULI_Y, PAULI_Z])
     def test_paulis_hermitian(self, m):
@@ -58,6 +62,15 @@ class TestPredicates:
         cy = np.eye(4, dtype=complex)
         cy[2:, 2:] = PAULI_Y
         assert is_unitary(cy)
+
+    def test_huge_hermitian_not_unitary(self):
+        # m m^H overflows, and an off-diagonal deviation is NaN
+        assert is_hermitian(HUGE_HERMITIAN)
+        assert not is_unitary(HUGE_HERMITIAN)
+
+    def test_overflowing_difference_not_hermitian(self):
+        # m - m^H is 2e308 at (0, 1): infinite, and not within the tolerance
+        assert not is_hermitian(np.array([[0, 1e308], [-1e308, 0]]))
 
 
 def dense_verdict(m) -> bool:
@@ -128,6 +141,16 @@ class TestBlockUnitary:
             assert not is_unitary(m)
         assert is_unitary(h) and is_unitary(h[np.ix_(p, p)])
 
+    @pytest.mark.parametrize("excess", [0.4e-10, 0.6e-10, 1e-10, 2e-10, 1.0, 1e300])
+    def test_entry_above_one(self, excess):
+        # an entry of modulus 1 + excess: rejected before any product when
+        # excess > 1e-10, with the verdict of the whole product at every size
+        m = np.eye(8, dtype=complex)
+        m[5, 5] = (1.0 + excess) * np.exp(0.3j)
+        assert is_unitary(m) == (excess < 0.5e-10)
+        if excess < 1e100:
+            assert is_unitary(m) == dense_verdict(m)
+
 
 class TestBlockHermitian:
     """is_hermitian forms m - m^H one block of m's nonzero pattern at a
@@ -180,14 +203,10 @@ def check_blocks(m: np.ndarray) -> None:
     """_blocks against the reference, and in its documented layout."""
     expected = components_reference(m != 0)
     blocks = _blocks(m)
-    if blocks is None:
-        assert expected == {frozenset(range(len(m)))}
-        return
     sizes = [idx.shape[1] for idx in blocks]
     assert sizes == sorted(set(sizes))
     assert all(np.all(np.diff(idx, axis=1) > 0) for idx in blocks)
     assert {frozenset(row.tolist()) for idx in blocks for row in idx} == expected
-    assert len(expected) > 1
 
 
 def scrambled_path(rng, dim: int) -> np.ndarray:
@@ -226,11 +245,14 @@ class TestBlockLabels:
         check_blocks(permuted(block_direct_sum(rng, n, block), rng))
 
     def test_one_block_shortcut(self):
-        # row 0 without zeros, and a pattern joined only through column 0
-        assert _blocks(np.ones((8, 8))) is None
+        # row 0 without zeros, and a pattern joined only through column 0:
+        # the one-block layout from both exits
         star = np.eye(8)
         star[1:, 0] = 1e-300
-        assert _blocks(star) is None
+        for m in (np.ones((8, 8)), star):
+            (idx,) = _blocks(m)
+            assert idx.tolist() == [list(range(8))]
+            check_blocks(m)
         check_blocks(np.eye(8))
 
     @settings(max_examples=200, deadline=None)
@@ -328,6 +350,11 @@ class TestNorms:
 
     def test_max_abs_diff_x_y(self):
         assert max_abs_diff(PAULI_X, PAULI_Y) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+    def test_max_abs_diff_overflow(self):
+        # a difference past the float range is infinite
+        a = np.array([[1e308, 0], [0, 1]])
+        assert max_abs_diff(a, -a) == math.inf
 
     def test_max_abs_diff_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -379,10 +379,10 @@ class TestVerifyCircuit:
 
 def near_identity(sign: float, n: int) -> np.ndarray:
     """sign * I + E with E Hermitian at the 1e-12 scale: two sweeps of
-    rotations at or just above ``zero_tol`` and an empty sign diagonal. At
-    n >= 3 every pair is same-sign and below the same-sign cut, so a first
-    sweep rotates nothing and the walk falls back to rotating every pivot
-    above zero_tol."""
+    rotations at or just above ``zero_tol`` and an empty sign diagonal.
+    Every pair is same-sign and below the same-sign cut, so a first sweep
+    rotates nothing and the walk falls back to rotating every pivot above
+    zero_tol."""
     rng = np.random.default_rng(1)
     a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
     return sign * np.eye(1 << n) + 2e-12 * (a + a.conj().T)
@@ -459,7 +459,7 @@ class TestBuildCircuit:
 
     @pytest.mark.parametrize(
         "sign, n, rotations, sweeps, gates_none",
-        [(1, 2, 9, 2, 38), (-1, 2, 9, 2, 38), (1, 3, 47, 3, 294), (-1, 3, 47, 3, 294)],
+        [(1, 2, 9, 3, 38), (-1, 2, 9, 3, 38), (1, 3, 47, 3, 294), (-1, 3, 47, 3, 294)],
     )
     def test_centre_cancels_away(self, sign, n, rotations, sweeps, gates_none):
         # rotations run, the sign diagonal is empty, and the two halves
@@ -468,6 +468,7 @@ class TestBuildCircuit:
         circuit, report = synthesize(h)
         assert report.rotations_executed == rotations
         assert report.sweeps == sweeps
+        assert report.sweep_rotations[0] == 0
         assert circuit.global_phase == sign
         assert circuit.gates == ()
         assert report.verify_error <= 1e-11
